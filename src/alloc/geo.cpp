@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/check.h"
 #include "util/thresholds.h"
@@ -114,13 +115,15 @@ std::size_t GeoAllocator::class_of_size(Tick size) const {
   return idx;
 }
 
+void GeoAllocator::place_run(std::size_t from) {
+  const Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
+  mem_->apply_run(std::span<const ItemId>(order_).subspan(from), off);
+}
+
 void GeoAllocator::apply_layout(std::size_t from) {
-  Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
+  place_run(from);
   for (std::size_t k = from; k < order_.size(); ++k) {
-    const ItemId id = order_[k];
-    mem_->move_to(id, off);
-    info_[id].pos = k;
-    off += mem_->extent_of(id);
+    info_of(order_[k]).pos = k;
   }
 }
 
@@ -148,7 +151,9 @@ void GeoAllocator::rebuild_level(int j0) {
   MEMREAL_CHECK(j0 >= 1 && j0 <= ell_);
   ++level_rebuilds_;
   // We rearrange level j0-1 (labels >= j0-1).
-  const std::size_t ss = suffix_start_for_label(j0 - 1);
+  const int base = j0 - 1;
+  const std::size_t ss = suffix_start_for_label(base);
+  const std::size_t len = order_.size() - ss;
 
   // New labels.  For each class, walk its items in ascending logical size:
   // the item of rank k belongs to I_j for every j with k < c_{i,j}; its new
@@ -156,64 +161,64 @@ void GeoAllocator::rebuild_level(int j0) {
   // guarantees the c_{i,j0} smallest live inside the rearranged suffix —
   // with one implementation caveat: repeated swap-inflation creates exact
   // logical-size *ties*, and among tied items only enough of them need to
-  // be inside the suffix.  Selection therefore prefers suffix members among
-  // ties; a strictly smaller item outside the suffix is a genuine
-  // violation.
-  std::unordered_map<ItemId, int> new_label;
-  new_label.reserve(order_.size() - ss);
+  // be inside the suffix.  Selection therefore ranks suffix members first
+  // within each run of equal size (each in ascending id order); a strictly
+  // smaller item outside the suffix is a genuine violation.  Everything
+  // in the suffix that is not selected falls back to label j0-1.
+  new_label_.assign(len, base);
   for (std::size_t i = 0; i < class_lo_.size(); ++i) {
     const ClassSet& set = class_items_[i];
-    if (set.empty()) continue;
     const std::uint64_t take = c_[i][static_cast<std::size_t>(j0)];
-    if (take == 0) continue;
-    // Candidates: the `take` smallest plus everything tied with the last.
-    std::vector<std::pair<Tick, ItemId>> cand;
-    auto it = set.begin();
-    for (std::uint64_t k = 0; k < take && it != set.end(); ++k, ++it) {
-      cand.push_back(*it);
-    }
-    const Tick cutoff = cand.back().first;
-    while (it != set.end() && it->first == cutoff) {
-      cand.push_back(*it);
-      ++it;
-    }
-    std::stable_sort(cand.begin(), cand.end(),
-                     [&](const std::pair<Tick, ItemId>& a,
-                         const std::pair<Tick, ItemId>& b) {
-                       if (a.first != b.first) return a.first < b.first;
-                       const bool sa = info_.at(a.second).label >= j0 - 1;
-                       const bool sb = info_.at(b.second).label >= j0 - 1;
-                       return sa && !sb;
-                     });
     std::uint64_t rank = 0;
-    for (const auto& [sz, id] : cand) {
-      if (rank >= take) break;
-      int lbl = j0 - 1;
-      for (int j = jstar_[i]; j >= j0; --j) {
-        if (rank < c_[i][static_cast<std::size_t>(j)]) {
-          lbl = j;
-          break;
+    auto it = set.begin();
+    while (it != set.end() && rank < take) {
+      // One run of equal logical size: rank its suffix members now; any
+      // outsider ranks after them and so must not be reached.
+      const Tick size = it->first;
+      bool outsider = false;
+      for (; it != set.end() && it->first == size && rank < take; ++it) {
+        const std::size_t pos = info_.at(it->second).pos;
+        if (pos < ss) {
+          outsider = true;
+          continue;
         }
+        int lbl = base;
+        for (int j = jstar_[i]; j >= j0; --j) {
+          if (rank < c_[i][static_cast<std::size_t>(j)]) {
+            lbl = j;
+            break;
+          }
+        }
+        new_label_[pos - ss] = lbl;
+        ++rank;
       }
-      MEMREAL_CHECK_MSG(info_.at(id).label >= j0 - 1,
+      MEMREAL_CHECK_MSG(!outsider || rank >= take,
                         "Lemma 4.2 violated: I_j member outside level j0-1");
-      new_label.emplace(id, lbl);
-      ++rank;
     }
   }
-  // Everything else in the suffix falls back to label j0-1.
-  for (std::size_t k = ss; k < order_.size(); ++k) {
-    const ItemId id = order_[k];
-    auto it = new_label.find(id);
-    info_[id].label = it == new_label.end() ? j0 - 1 : it->second;
+  // Stable counting sort of the suffix by new label (I_j to the right of
+  // its complement, for every j >= j0); labels span [j0-1, ell].
+  label_start_.assign(static_cast<std::size_t>(ell_ - base) + 2, 0);
+  for (const int lbl : new_label_) {
+    ++label_start_[static_cast<std::size_t>(lbl - base) + 1];
   }
-  // Stable sort the suffix by new label (I_j to the right of its
-  // complement, for every j >= j0).
-  std::stable_sort(order_.begin() + static_cast<std::ptrdiff_t>(ss),
-                   order_.end(), [&](ItemId a, ItemId b) {
-                     return info_.at(a).label < info_.at(b).label;
-                   });
-  apply_layout(ss);
+  for (std::size_t b = 1; b < label_start_.size(); ++b) {
+    label_start_[b] += label_start_[b - 1];
+  }
+  sorted_.resize(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    const ItemId id = order_[ss + k];
+    const int lbl = new_label_[k];
+    const std::size_t dst =
+        label_start_[static_cast<std::size_t>(lbl - base)]++;
+    sorted_[dst] = id;
+    Info& inf = info_of(id);
+    inf.label = lbl;
+    inf.pos = ss + dst;
+  }
+  std::copy(sorted_.begin(), sorted_.end(),
+            order_.begin() + static_cast<std::ptrdiff_t>(ss));
+  place_run(ss);
 }
 
 void GeoAllocator::bump_counters_and_rebuild(std::size_t cls,
@@ -250,12 +255,13 @@ void GeoAllocator::bump_counters_and_rebuild(std::size_t cls,
 void GeoAllocator::waste_recovery() {
   ++waste_recoveries_;
   // Revert all logical inflation, compact everything, rebuild level 1.
-  for (auto& [id, inf] : info_) {
-    if (inf.label < 0) continue;
+  // Huge items (the first huge_count_ of order_) are never inflated.
+  for (std::size_t k = huge_count_; k < order_.size(); ++k) {
+    const ItemId id = order_[k];
     const Tick ext = mem_->extent_of(id);
     const Tick sz = mem_->size_of(id);
     if (ext != sz) {
-      auto& set = class_items_[inf.cls];
+      auto& set = class_items_[info_.at(id).cls];
       set.erase({ext, id});
       mem_->reset_extent(id);
       set.insert({sz, id});
@@ -268,7 +274,7 @@ void GeoAllocator::waste_recovery() {
 }
 
 void GeoAllocator::insert(ItemId id, Tick size) {
-  MEMREAL_CHECK_MSG(info_.find(id) == info_.end(), "duplicate id " << id);
+  MEMREAL_CHECK_MSG(!info_.contains(id), "duplicate id " << id);
   if (size >= huge_thr_) {
     // Huge item: append to the huge prefix; everything after shifts right.
     // Cost <= L / size <= O(eps^-1/2).
@@ -295,16 +301,17 @@ void GeoAllocator::insert(ItemId id, Tick size) {
 }
 
 void GeoAllocator::erase(ItemId id) {
-  auto iit = info_.find(id);
-  MEMREAL_CHECK_MSG(iit != info_.end(), "erase of unknown item " << id);
-  const Info inf = iit->second;
+  // A copy: FlatIdMap erase and growth move entries.
+  const Info* found = info_.find(id);
+  MEMREAL_CHECK_MSG(found != nullptr, "erase of unknown item " << id);
+  const Info inf = *found;
 
   if (inf.label < 0) {
     // Huge delete: remove and close the hole (compacts huge prefix and
     // shifts the rest left).  Cost <= L / size <= O(eps^-1/2).
     mem_->remove(id);
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    info_.erase(iit);
+    info_.erase(id);
     --huge_count_;
     apply_layout(inf.pos);
     return;
@@ -335,24 +342,24 @@ void GeoAllocator::erase(ItemId id) {
     }
     MEMREAL_CHECK_MSG(other != kNoItem,
                       "invariant violated: no class minimum in level j*");
-    const Info& oinf = info_.at(other);
     const Tick my_extent = mem_->extent_of(id);
     MEMREAL_CHECK_MSG(mem_->extent_of(other) <= my_extent,
                       "swap candidate larger than deleted item");
 
     const std::size_t p = inf.pos;
-    const std::size_t q = oinf.pos;
+    const std::size_t q = info_.at(other).pos;
     MEMREAL_CHECK(q > p);
     const Tick slot = mem_->offset_of(id);
     mem_->remove(id);
-    info_.erase(iit);
+    info_.erase(id);
     set.erase({my_extent, id});           // the deleted item leaves its class
     set.erase({mem_->extent_of(other), other});  // I' re-keyed below
     set.insert({my_extent, other});
     mem_->move_to(other, slot);
     mem_->set_extent(other, my_extent);
-    info_[other].label = inf.label;  // I' inherits I's level
-    info_[other].pos = p;
+    Info& oinf = info_of(other);
+    oinf.label = inf.label;  // I' inherits I's level
+    oinf.pos = p;
     order_[p] = other;
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(q));
     hole_pos = q;
@@ -365,7 +372,7 @@ void GeoAllocator::erase(ItemId id) {
     mem_->remove(id);
     hole_pos = inf.pos;
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    info_.erase(iit);
+    info_.erase(id);
     swapped = false;
   }
   // Compact level j* (and anything to its right) — closes the hole.
@@ -384,7 +391,13 @@ void GeoAllocator::erase(ItemId id) {
 
 void GeoAllocator::check_invariants() const {
   MEMREAL_CHECK(order_.size() == info_.size());
-  // Layout: contiguous extents, labels ascending, pos correct.
+  // Layout: contiguous extents, labels ascending, pos correct.  The same
+  // pass totals the inflation waste and the per-(class, label) counts.
+  const std::size_t classes = class_lo_.size();
+  std::vector<std::vector<std::uint64_t>> cnt(
+      classes,
+      std::vector<std::uint64_t>(static_cast<std::size_t>(ell_) + 1, 0));
+  Tick waste = 0;
   Tick off = 0;
   int prev_label = -1;
   for (std::size_t k = 0; k < order_.size(); ++k) {
@@ -395,24 +408,16 @@ void GeoAllocator::check_invariants() const {
     MEMREAL_CHECK_MSG(inf.label >= prev_label, "labels out of order");
     prev_label = inf.label;
     off += mem_->extent_of(id);
+    waste += mem_->extent_of(id) - mem_->size_of(id);
+    if (inf.label >= 0) {
+      cnt[inf.cls][static_cast<std::size_t>(inf.label)] += 1;
+    }
   }
   // Waste: total inflation across GEO's own items stays below eps.  (Under
   // the combined allocator, other items share the Memory.)
-  Tick waste = 0;
-  for (const auto& [id, inf] : info_) {
-    waste += mem_->extent_of(id) - mem_->size_of(id);
-  }
   MEMREAL_CHECK_MSG(waste <= eps_t_, "inflation waste above eps");
   // Level-size invariant: per class and level j, at most 2*c_{i,j} items
   // with label >= j (and none beyond j*).
-  const std::size_t classes = class_lo_.size();
-  std::vector<std::vector<std::uint64_t>> cnt(
-      classes,
-      std::vector<std::uint64_t>(static_cast<std::size_t>(ell_) + 1, 0));
-  for (const auto& [id, inf] : info_) {
-    if (inf.label < 0) continue;
-    cnt[inf.cls][static_cast<std::size_t>(inf.label)] += 1;
-  }
   for (std::size_t i = 0; i < classes; ++i) {
     std::uint64_t suffix = 0;
     for (int j = ell_; j >= 1; --j) {

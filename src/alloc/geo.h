@@ -28,15 +28,23 @@
 // Layout discipline: [huge][label 0][label 1]...[label ell], contiguous in
 // extents, left-aligned at 0.  An item's label is the deepest level that
 // contains it; level j = all items with label >= j.
+//
+// Bookkeeping is flat: per-item state lives in an open-addressed FlatIdMap,
+// a level rebuild computes its new labels into a position-indexed scratch
+// vector and regroups the suffix with a stable counting sort over labels
+// (member buffers, no allocation per rebuild), and every relayout is one
+// LayoutStore::apply_run batch.  A rebuild of an m-item suffix costs one
+// id probe per candidate and per suffix item, plus the store's run.
 #pragma once
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/allocator.h"
 #include "core/layout_store.h"
+#include "util/check.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace memreal {
@@ -83,7 +91,19 @@ class GeoAllocator final : public Allocator {
 
   using ClassSet = std::set<std::pair<Tick, ItemId>>;  ///< by logical size
 
+  /// Mutable bookkeeping of a live item.  The reference is invalidated by
+  /// the next info_ insert or erase (FlatIdMap moves entries).
+  Info& info_of(ItemId id) {
+    Info* inf = info_.find(id);
+    MEMREAL_CHECK_MSG(inf != nullptr, "unknown item id " << id);
+    return *inf;
+  }
+
+  /// Lays order_[from..] out contiguously after order_[from - 1] and
+  /// refreshes their positions.
   void apply_layout(std::size_t from);
+  /// The relayout alone: one apply_run over order_[from..].
+  void place_run(std::size_t from);
   [[nodiscard]] std::size_t suffix_start_for_label(int label) const;
   void rebuild_level(int j0);
   void waste_recovery();
@@ -111,7 +131,7 @@ class GeoAllocator final : public Allocator {
   std::vector<std::vector<std::uint64_t>> ins_thr_, del_thr_;
 
   std::vector<ItemId> order_;  ///< sorted: huge first, then by label asc
-  std::unordered_map<ItemId, Info> info_;
+  FlatIdMap<Info> info_;
   std::vector<ClassSet> class_items_;
   std::size_t huge_count_ = 0;
 
@@ -119,6 +139,11 @@ class GeoAllocator final : public Allocator {
   Tick waste_thr_ = 0;  ///< uniform in (eps/2, eps)
   std::size_t waste_recoveries_ = 0;
   std::size_t level_rebuilds_ = 0;
+
+  // rebuild_level scratch, reused across calls.
+  std::vector<int> new_label_;            ///< by suffix position
+  std::vector<std::size_t> label_start_;  ///< counting-sort bucket starts
+  std::vector<ItemId> sorted_;            ///< the regrouped suffix
 };
 
 }  // namespace memreal

@@ -118,8 +118,11 @@ class LayoutStore {
   /// Relocates `ids` extent-contiguously starting at `offset` (each item
   /// lands at the previous item's new end); returns the end of the run.
   /// Exactly equivalent to the move_to/extent_of loop below — same cost
-  /// charges, same transient states — but overridable so a store can
-  /// resolve each id once instead of twice per item.
+  /// charges, same layout and index order once it returns — but
+  /// overridable so a store can resolve each id once and restore its
+  /// offset order once per run instead of once per move.  The run is one
+  /// call, so no query can observe it half applied; the index order is
+  /// exact again when it returns.
   virtual Tick apply_run(std::span<const ItemId> ids, Tick offset) {
     for (const ItemId id : ids) {
       move_to(id, offset);

@@ -181,7 +181,9 @@ void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   moved_ += size;
 }
 
-void SlabStore::move_slot(std::uint32_t slot, Tick offset) {
+void SlabStore::move_to(ItemId id, Tick offset) {
+  MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
+  const std::uint32_t slot = slot_of(id);
   const Tick old_offset = offsets_[slot];
   if (old_offset == offset) return;
   const Tick extent = extents_[slot];
@@ -196,11 +198,6 @@ void SlabStore::move_slot(std::uint32_t slot, Tick offset) {
       (pos + 1 == by_offset_.size() || slot_less(slot, by_offset_[pos + 1]));
   if (!ordered) index_reseat(pos);
   moved_ += sizes_[slot];
-}
-
-void SlabStore::move_to(ItemId id, Tick offset) {
-  MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  move_slot(slot_of(id), offset);
 }
 
 Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
@@ -224,39 +221,81 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
     span_dirty_ = false;
     return offset;
   }
-  // Partial run (covering-set compaction after a delete): relocations
-  // almost always preserve (offset, id) order, so each move is an order
-  // check plus an offset write; the span resolves once at the end of the
-  // run instead of twice per move.
-  bool any_moved = false;
+  // Partial run (covering-set compaction, GEO level rebuilds): write the
+  // offsets and record the moved slots; (offset, id) order is checked once
+  // the whole run has landed and, if any moved slot broke it, restored in
+  // one pass instead of one reseat per move.
+  run_moved_.clear();
   for (const ItemId id : ids) {
     const std::uint32_t slot = slot_of(id);
     if (offsets_[slot] != offset) {
       offsets_[slot] = offset;
-      const std::size_t pos = index_pos_[slot];
-      const bool ordered =
-          (pos == 0 || slot_less(by_offset_[pos - 1], slot)) &&
-          (pos + 1 == by_offset_.size() ||
-           slot_less(slot, by_offset_[pos + 1]));
-      if (!ordered) index_reseat(pos);
       moved_ += sizes_[slot];
-      any_moved = true;
+      run_moved_.push_back(slot);
     }
     offset += extents_[slot];
   }
-  if (any_moved) {
-    // Run items are extent-contiguous by construction, so the run's max
-    // end is the final `offset`; when the span was clean and the run
-    // reaches at or past it, every surviving end is <= `offset` and the
-    // span is exact.  A run ending short may have moved the old maximum
-    // down — recompute lazily.
-    if (!span_dirty_ && offset >= span_) {
-      span_ = offset;
-    } else {
-      span_dirty_ = true;
+  if (run_moved_.empty()) return offset;
+  // The index was exact before the run and unmoved pairs kept their keys,
+  // so it is still sorted iff every moved slot is ordered against its two
+  // index neighbors.
+  const std::size_t n = by_offset_.size();
+  for (const std::uint32_t slot : run_moved_) {
+    const std::size_t pos = index_pos_[slot];
+    if ((pos > 0 && !slot_less(by_offset_[pos - 1], slot)) ||
+        (pos + 1 < n && !slot_less(slot, by_offset_[pos + 1]))) {
+      restore_run_order();
+      break;
     }
   }
+  // Run items are extent-contiguous by construction, so the run's max end
+  // is the final `offset`; when the span was clean and the run reaches at
+  // or past it, every surviving end is <= `offset` and the span is exact.
+  // A run ending short may have moved the old maximum down — recompute
+  // lazily.
+  if (!span_dirty_ && offset >= span_) {
+    span_ = offset;
+  } else {
+    span_dirty_ = true;
+  }
   return offset;
+}
+
+void SlabStore::restore_run_order() {
+  // run_moved_ is already in (offset, id) order: a run lays its items at
+  // strictly increasing offsets (every extent is >= 1).
+  const std::size_t n = by_offset_.size();
+  const std::size_t m = run_moved_.size();
+  // Everything left of the first moved slot's old position, and left of
+  // where the smallest moved key lands, keeps its index position.
+  std::size_t lo = n;
+  for (const std::uint32_t slot : run_moved_) {
+    lo = std::min<std::size_t>(lo, index_pos_[slot]);
+  }
+  const std::uint32_t head = run_moved_.front();
+  lo = index_lower_bound(0, lo, offsets_[head], ids_[head]);
+  // Drop the moved slots (marked through index_pos_), compacting the kept
+  // ones — still sorted, their keys did not change — to the left.
+  for (const std::uint32_t slot : run_moved_) index_pos_[slot] = kNoSlot;
+  std::size_t kept = lo;
+  for (std::size_t pos = lo; pos < n; ++pos) {
+    const std::uint32_t slot = by_offset_[pos];
+    if (index_pos_[slot] != kNoSlot) by_offset_[kept++] = slot;
+  }
+  // Merge the moved slots back from the right end, in place.
+  std::size_t out = n;
+  std::size_t a = kept;
+  std::size_t b = m;
+  while (b > 0) {
+    if (a > lo && slot_less(run_moved_[b - 1], by_offset_[a - 1])) {
+      by_offset_[--out] = by_offset_[--a];
+    } else {
+      by_offset_[--out] = run_moved_[--b];
+    }
+  }
+  for (std::size_t pos = lo; pos < n; ++pos) {
+    index_pos_[by_offset_[pos]] = static_cast<std::uint32_t>(pos);
+  }
 }
 
 void SlabStore::reset_extents(std::span<const ItemId> ids) {

@@ -28,13 +28,20 @@
 //                                         span_end() recomputes with one
 //                                         O(n) scan of the slab
 //
-// Two structural facts keep the hot path cheap.  First, compaction-style
+// Three structural facts keep the hot path cheap.  First, compaction-style
 // moves (every SIMPLE rebuild / covering-set compaction) slide items left
 // without reordering, so move_to only touches by_offset_ when the
 // (offset, id) order actually changes — the common move is two array
-// writes.  Second, span_end() is rarely read between updates, so the span
-// cache is a scalar with lazy recompute instead of a sorted multiset that
-// would charge two binary-search insertions per move.
+// writes, and a single order-breaking move_to (GEO's swap-on-delete) pays
+// one eager reseat.  Second, runs that do reorder (every GEO level
+// rebuild) go through apply_run, which writes all offsets first and then
+// restores order once per run: the m moved slots are dropped from
+// by_offset_ and merged back in one O(n + m) pass, instead of one O(n)
+// std::rotate reseat per move.  No order state outlives the call, so
+// ordered queries never see a half-sorted index.  Third, span_end() is
+// rarely read between updates, so the span cache is a scalar with lazy
+// recompute instead of a sorted multiset that would charge two
+// binary-search insertions per move.
 //
 // The (offset, id) sort key matches Memory's index exactly, so every
 // ordered query (item_at, first_at_or_after, neighbors_of, snapshot, ...)
@@ -216,8 +223,10 @@ class SlabStore final : public LayoutStore {
   /// Re-seats by_offset_[pos] (whose stored offset just changed) so the
   /// index is sorted again; refreshes index_pos_ for every shifted entry.
   void index_reseat(std::size_t pos);
-  /// Core of move_to/apply_run once the slot is known.
-  void move_slot(std::uint32_t slot, Tick offset);
+  /// Re-sorts the index after a partial apply_run broke its order: drops
+  /// the run's moved slots (run_moved_), merges them back in one pass and
+  /// rewrites index_pos_ from the first changed position.  O(n + m).
+  void restore_run_order();
 
   [[nodiscard]] PlacedItem placed(std::uint32_t slot) const {
     return PlacedItem{ids_[slot], offsets_[slot], sizes_[slot],
@@ -248,6 +257,9 @@ class SlabStore final : public LayoutStore {
 
   std::vector<std::uint32_t> by_offset_;
   std::vector<std::uint32_t> index_pos_;  ///< slot -> position in by_offset_
+  /// Scratch for apply_run: slots the current partial run moved, in run
+  /// order.  Holds no state between calls.
+  std::vector<std::uint32_t> run_moved_;
 
   Tick live_mass_ = 0;
   Tick extent_mass_ = 0;

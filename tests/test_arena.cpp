@@ -153,6 +153,18 @@ TEST(ArenaStore, PayloadCorruptionIsCaughtByAudit) {
   cell.audit();
 }
 
+TEST(ArenaStore, CorruptionDeepInALongPayloadNamesTheByte) {
+  // 1,000 bytes span several of verify_at's branch-free compare blocks;
+  // the flipped byte sits mid-block and must still be reported exactly.
+  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  cell.step(Update::insert(1, 125, 1000));
+  const std::span<const unsigned char> p = cell.arena().payload(1);
+  const_cast<unsigned char&>(p[700]) ^= 0x10;
+  expect_throw_contains([&] { cell.audit(); }, "byte 700 ");
+  const_cast<unsigned char&>(p[700]) ^= 0x10;
+  cell.audit();
+}
+
 TEST(ArenaStore, CorruptionIsCaughtWhenTheVictimNextMoves) {
   // folklore-compact compacts once waste exceeds eps/2 (here 8 ticks):
   // corrupting the last item and deleting enough predecessors forces a

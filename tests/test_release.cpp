@@ -15,13 +15,19 @@
 //
 // Workload shapes: per-allocator admissible churn (every registry name),
 // sawtooth fill/drain cycles, multi-tenant Zipf, and adversarial near-full
-// load — plus fragmenter stress for the universal folklore baselines.
+// load — plus fragmenter stress for the universal folklore baselines, and
+// huge-item, swap-heavy GEO/COMBINED streams that drive GEO's level
+// rebuilds and waste recovery through the store's batched runs.  Hand
+// driven SlabStore-vs-Memory cases pin the partial-run order restoration.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "alloc/combined.h"
+#include "alloc/geo.h"
 #include "alloc/registry.h"
 #include "harness/cell.h"
 #include "harness/validated_run.h"
@@ -30,6 +36,7 @@
 #include "release/slab_store.h"
 #include "shard/sharded_engine.h"
 #include "testing.h"
+#include "util/rng.h"
 #include "workload/adversarial.h"
 #include "workload/churn.h"
 #include "workload/multi_tenant.h"
@@ -87,11 +94,14 @@ CellConfig cell_config(const std::string& engine,
   return c;
 }
 
+/// Called after every lockstep update with both cells.
+using StepHook = std::function<void(Cell& validated, Cell& release)>;
+
 /// Drives both engines through `seq` update-for-update, checking costs and
 /// O(1) counters at every step, layouts periodically and at the end, and
 /// the full RunStats + a release-store audit at the end.
 void lockstep(const std::string& allocator, const Sequence& seq,
-              double delta = 0.0) {
+              double delta = 0.0, const StepHook& after_step = {}) {
   seq.check_well_formed();
   ValidatedCell validated(seq.capacity, seq.eps_ticks,
                           cell_config("validated", allocator, seq, delta));
@@ -114,6 +124,10 @@ void lockstep(const std::string& allocator, const Sequence& seq,
     ASSERT_EQ(validated.memory().total_moved(),
               release.memory().total_moved())
         << "moved mass diverged at update " << i;
+    if (after_step) {
+      after_step(validated, release);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
     if (i % 64 == 0) {
       expect_same_layout(validated.memory(), release.memory(),
                          "update " + std::to_string(i));
@@ -196,6 +210,123 @@ TEST(Lockstep, FragmenterOnUniversalBaselines) {
     lockstep(name, make_fragmenter(c));
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+/// What a GEO lockstep run exercised, as seen by one cell's GeoAllocator.
+struct GeoCoverage {
+  std::size_t waste_recoveries = 0;
+  std::size_t level_rebuilds = 0;
+};
+
+/// The GeoAllocator inside a cell (the cell's allocator, or a part of it).
+using GeoOf = std::function<const GeoAllocator&(Cell&)>;
+
+/// Lockstep run that also checks the allocator's own invariants after
+/// every update on both cells and requires both GEO instances to agree on
+/// their rebuild and recovery counters throughout.
+GeoCoverage lockstep_geo(const std::string& allocator, const Sequence& seq,
+                         const GeoOf& geo_of) {
+  GeoCoverage out;
+  lockstep(allocator, seq, 0.0, [&](Cell& validated, Cell& release) {
+    validated.allocator().check_invariants();
+    release.allocator().check_invariants();
+    const GeoAllocator& vg = geo_of(validated);
+    const GeoAllocator& rg = geo_of(release);
+    ASSERT_EQ(vg.waste_recoveries(), rg.waste_recoveries());
+    ASSERT_EQ(vg.level_rebuilds(), rg.level_rebuilds());
+    out.waste_recoveries = rg.waste_recoveries();
+    out.level_rebuilds = rg.level_rebuilds();
+  });
+  return out;
+}
+
+/// Inserts and deletes in `seq` of items at or above `huge_threshold`.
+std::pair<std::size_t, std::size_t> huge_updates(const Sequence& seq,
+                                                 Tick huge_threshold) {
+  std::size_t inserts = 0;
+  std::size_t deletes = 0;
+  for (const Update& u : seq.updates) {
+    if (u.size < huge_threshold) continue;
+    ++(u.is_insert() ? inserts : deletes);
+  }
+  return {inserts, deletes};
+}
+
+TEST(Lockstep, GeoHugeAndSwapHeavyDeletes) {
+  // A narrow band (ratio 4) keeps every class crowded, so most deletes
+  // swap in the class minimum and inflation piles up until waste recovery
+  // fires; a 10% huge stream reshuffles the huge prefix.
+  GeoRegimeConfig g;
+  g.capacity = kCap;
+  g.eps = 1.0 / 32;
+  g.band_ratio = 4;
+  g.huge_fraction = 0.1;
+  g.churn_updates = 2000;
+  g.seed = 47;
+  const Sequence seq = make_geo_regime(g);
+  Memory probe_mem(seq.capacity, seq.eps_ticks);
+  GeoConfig gc;
+  gc.eps = g.eps;
+  const Tick huge_threshold = GeoAllocator(probe_mem, gc).huge_threshold();
+
+  const GeoOf geo_of = [](Cell& cell) -> const GeoAllocator& {
+    return dynamic_cast<const GeoAllocator&>(cell.allocator());
+  };
+  const GeoCoverage cov = lockstep_geo("geo", seq, geo_of);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GT(cov.waste_recoveries, 0u);
+  EXPECT_GT(cov.level_rebuilds, seq.size() / 2);
+  const auto [huge_inserts, huge_deletes] = huge_updates(seq, huge_threshold);
+  EXPECT_GT(huge_inserts, 0u);
+  EXPECT_GT(huge_deletes, 0u);
+}
+
+TEST(Lockstep, CombinedHugeTinyAndSwapHeavyDeletes) {
+  // COMBINED runs GEO at eps/2 below a FLEXHASH region, so every GEO
+  // rebuild is a partial run with an untouched region past its end.  The
+  // stream mixes tiny FLEXHASH items, a narrow band of non-huge GEO items
+  // (swap-heavy deletes, waste recovery) and huge GEO items.
+  const double eps = 1.0 / 16;
+  Memory probe_mem(kCap, static_cast<Tick>(eps * static_cast<double>(kCap)));
+  CombinedConfig cc;
+  cc.eps = eps;
+  const CombinedAllocator probe(probe_mem, cc);
+  const Tick tiny_hi = probe.tiny_threshold();
+  const Tick huge_lo = probe.geo().huge_threshold();
+  const Tick band_hi = huge_lo / 2;
+
+  SequenceBuilder b("combined-geo-paths", kCap, eps);
+  Rng rng(53);
+  auto draw = [&]() -> Tick {
+    const double u = rng.next_double();
+    if (u < 0.1) return rng.next_in(huge_lo, 4 * huge_lo);
+    if (u < 0.3) return rng.next_in(std::max<Tick>(1, tiny_hi / 4), tiny_hi);
+    return rng.next_in(band_hi / 4, band_hi);
+  };
+  const auto target = static_cast<Tick>(0.8 * static_cast<double>(b.budget()));
+  while (true) {
+    const Tick s = draw();
+    if (b.live_mass() + s > target) break;
+    b.insert(s);
+  }
+  for (std::size_t i = 0; i < 2000; ++i) {
+    b.erase_random(rng);
+    Tick s = draw();
+    while (!b.can_insert(s)) s = draw();
+    b.insert(s);
+  }
+  const Sequence seq = b.take();
+
+  const GeoOf geo_of = [](Cell& cell) -> const GeoAllocator& {
+    return dynamic_cast<const CombinedAllocator&>(cell.allocator()).geo();
+  };
+  const GeoCoverage cov = lockstep_geo("combined", seq, geo_of);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GT(cov.waste_recoveries, 0u);
+  EXPECT_GT(cov.level_rebuilds, 0u);
+  const auto [huge_inserts, huge_deletes] = huge_updates(seq, huge_lo);
+  EXPECT_GT(huge_inserts, 0u);
+  EXPECT_GT(huge_deletes, 0u);
 }
 
 // A sharded run's routing is engine-independent, so the per-shard layouts
@@ -362,6 +493,139 @@ TEST(SlabStore, BatchedRunAndResetExtentsMatchPerItemSemantics) {
   EXPECT_EQ(store.offset_of(2), 10u);
   EXPECT_EQ(store.span_end(), 20u);
   store.audit();
+}
+
+/// A SlabStore and a validating Memory driven by the same calls: Memory's
+/// apply_run is the per-item move_to loop, so it is the reference for the
+/// slab's batched run and its once-per-run order restoration.
+class TwinStores {
+ public:
+  static constexpr Tick kCapacity = 1 << 20;
+  static constexpr Tick kEps = 1 << 10;
+
+  /// One update per item: `sizes[k]` lands at `offsets[k]` with id k + 1.
+  TwinStores(const std::vector<Tick>& offsets, const std::vector<Tick>& sizes,
+             const std::vector<Tick>& extents = {}) {
+    for (std::size_t k = 0; k < offsets.size(); ++k) {
+      const auto id = static_cast<ItemId>(k + 1);
+      const Tick extent = extents.empty() ? 0 : extents[k];
+      for (LayoutStore* s : stores()) {
+        s->begin_update(sizes[k], true);
+        s->place(id, offsets[k], sizes[k], extent);
+        s->end_update();
+      }
+    }
+  }
+
+  void begin() {
+    for (LayoutStore* s : stores()) s->begin_update(1, false);
+  }
+  void remove(ItemId id) {
+    for (LayoutStore* s : stores()) s->remove(id);
+  }
+  void run(const std::vector<ItemId>& ids, Tick offset) {
+    EXPECT_EQ(memory_.apply_run(ids, offset), slab_.apply_run(ids, offset));
+  }
+  /// Closes the update and checks both stores agree on everything a query
+  /// can observe.
+  void end_and_compare() {
+    EXPECT_EQ(memory_.moved_in_update(), slab_.moved_in_update());
+    EXPECT_EQ(memory_.end_update(), slab_.end_update());
+    memory_.audit();
+    slab_.audit();
+    expect_same_layout(memory_, slab_, "twin snapshot");
+    const Tick span = memory_.span_end();
+    EXPECT_EQ(span, slab_.span_end());
+    for (Tick at = 0; at <= span + 1; ++at) {
+      EXPECT_EQ(describe(memory_.item_at(at)), describe(slab_.item_at(at)))
+          << "item_at " << at;
+      EXPECT_EQ(describe(memory_.first_at_or_after(at)),
+                describe(slab_.first_at_or_after(at)))
+          << "first_at_or_after " << at;
+    }
+    for (const PlacedItem& p : memory_.snapshot()) {
+      const auto a = memory_.neighbors_of(p.id);
+      const auto b = slab_.neighbors_of(p.id);
+      EXPECT_EQ(describe(a.prev), describe(b.prev)) << "prev of " << p.id;
+      EXPECT_EQ(describe(a.next), describe(b.next)) << "next of " << p.id;
+    }
+  }
+
+  [[nodiscard]] const SlabStore& slab() const { return slab_; }
+
+ private:
+  static std::string describe(const std::optional<PlacedItem>& p) {
+    if (!p) return "none";
+    return std::to_string(p->id) + "@" + std::to_string(p->offset) + "+" +
+           std::to_string(p->size) + "/" + std::to_string(p->extent);
+  }
+  std::vector<LayoutStore*> stores() { return {&memory_, &slab_}; }
+
+  Memory memory_{kCapacity, kEps};
+  SlabStore slab_{kCapacity, kEps};
+};
+
+TEST(SlabStore, PartialRunReversingASuffixRestoresOrder) {
+  // Items 1..6, size 10, back to back; the run lays 6, 5, 4 where 4, 5, 6
+  // were: 6 crosses two neighbors leftward, 4 two rightward.
+  TwinStores t({0, 10, 20, 30, 40, 50}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.run({6, 5, 4}, 30);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(6), 30u);
+  EXPECT_EQ(t.slab().offset_of(4), 50u);
+}
+
+TEST(SlabStore, PartialRunInterleavingASuffixRestoresOrder) {
+  // Suffix 3..8 re-laid as 3, 6, 4, 7, 5, 8: sizes differ so offsets
+  // shift unevenly, and the run's first and last items land where they
+  // already were (free no-ops inside the run).
+  TwinStores t({0, 10, 22, 32, 44, 52, 66, 72}, {10, 12, 10, 12, 8, 14, 6, 9});
+  t.begin();
+  t.run({3, 6, 4, 7, 5, 8}, 22);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(3), 22u);
+  EXPECT_EQ(t.slab().offset_of(6), 32u);
+  EXPECT_EQ(t.slab().offset_of(5), 64u);
+  EXPECT_EQ(t.slab().offset_of(8), 72u);
+}
+
+TEST(SlabStore, PartialRunLeavesPrefixAndTailRegionIntact) {
+  // COMBINED's shape: an untouched prefix (1, 2), a reordered run whose
+  // inflated middle item (4) lands where it was, and an untouched item
+  // past the run's end (6, standing in for the FLEXHASH region).
+  TwinStores t({0, 10, 20, 30, 55, 70}, {10, 10, 10, 20, 10, 5},
+               {10, 10, 10, 25, 10, 5});
+  t.begin();
+  t.run({5, 4, 3}, 20);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(5), 20u);
+  EXPECT_EQ(t.slab().offset_of(4), 30u);
+  EXPECT_EQ(t.slab().offset_of(3), 55u);
+  EXPECT_EQ(t.slab().offset_of(6), 70u);
+}
+
+TEST(SlabStore, PartialRunJumpingLeftOverAnOutsideItem) {
+  // Remove 1, then lay 3 at offset 0: it lands left of 2, an item outside
+  // the run whose index position precedes 3's old one.
+  TwinStores t({0, 10, 30}, {10, 10, 10});
+  t.begin();
+  t.remove(1);
+  t.run({3}, 0);
+  t.end_and_compare();
+  ASSERT_TRUE(t.slab().first_item().has_value());
+  EXPECT_EQ(t.slab().first_item()->id, 3u);
+}
+
+TEST(SlabStore, PartialRunKeepingOrderOnlyCompacts) {
+  // Remove 3, then slide 4..6 left over the hole in the same update: no
+  // moved slot crosses a neighbor, so the index is never re-sorted.
+  TwinStores t({0, 10, 20, 30, 40, 50}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.remove(3);
+  t.run({4, 5, 6}, 20);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(6), 40u);
 }
 
 TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {
