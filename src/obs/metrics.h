@@ -113,7 +113,11 @@ class Gauge {
   void set(std::int64_t v) noexcept {
     if constexpr (!kObsCompiledIn) return;
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.store(v, std::memory_order_relaxed);
+    // Storing an unchanged value would still take the cache line from
+    // every other core that sets this gauge.
+    if (value_.load(std::memory_order_relaxed) != v) {
+      value_.store(v, std::memory_order_relaxed);
+    }
     raise_high_water(v);
   }
   void add(std::int64_t delta) noexcept {
@@ -184,7 +188,9 @@ class Histogram {
   void record_unguarded(std::uint64_t v) noexcept {
     if constexpr (!kObsCompiledIn) return;
     buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    // Zero samples (no move, no queue wait) are common; skipping their
+    // no-op add spares one contended RMW.
+    if (v != 0) sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
   // Folds another histogram into this one (used by tests to check

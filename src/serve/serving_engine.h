@@ -6,33 +6,44 @@
 // ServingEngine turns the same cells into an online service:
 //
 //   * One worker thread per shard, fed by an MPSC request queue
-//     (src/serve/mpsc_queue.h).  Client threads call submit(update) and
-//     get a std::future<double> resolving to the update's cost L/k (or
-//     to the InvariantViolation the cell raised).
+//     (src/serve/mpsc_queue.h), plus caller-runs: a submit that finds
+//     its shard idle (empty queue, no worker batch out, no read-side
+//     query in flight) claims it and applies the update on the
+//     submitting thread, so a closed-loop client pays for the
+//     allocator's work, not for a thread handoff.  A shard with reads in
+//     flight is left to its worker: an inline writer's back-to-back
+//     applies would otherwise keep the shard's lock and layout lines hot
+//     under a reader on another core.  Client threads call
+//     submit(update) and get a std::future<double> resolving to the
+//     update's cost L/k (or to the InvariantViolation the cell raised);
+//     after an inline apply it is ready on return.
 //   * Routing reuses ShardedEngine::route_update — the exact admission
 //     logic of the batch path (router proposal, least-loaded fallback,
 //     live-mass tracking) — under one routing mutex.  Requests are
-//     enqueued to their shard inside that critical section, so each
-//     shard's queue order equals the global route order; a delete can
-//     never overtake the insert it depends on.
+//     claimed or enqueued on their shard inside that critical section,
+//     and a claim succeeds only once everything queued before it is
+//     applied, so each shard's apply order equals the global route
+//     order; a delete can never overtake the insert it depends on.
 //   * Read-side queries (item_at, neighbors_of, payload bytes under
-//     arena cells) take a per-shard shared lock that the worker holds
-//     exclusively while applying an update, so every query observes a
-//     layout *between* updates — snapshot-consistent, never a transient
-//     mid-update state.
+//     arena cells) take a per-shard shared lock that the applying thread
+//     (worker or inline submitter) holds exclusively while applying an
+//     update, so every query observes a layout *between* updates —
+//     snapshot-consistent, never a transient mid-update state.
 //
 // Determinism: per-shard application order equals route order (FIFO
-// queues), and route order is the submission order (routing mutex).  So
-// when updates are submitted in sequence order — which the deterministic
-// verification mode serve_deterministic() enforces across any number of
-// client lanes via a seed-derived ticket schedule — every cell sees
-// exactly the sub-sequence the batch ShardedEngine would feed it, and
-// costs and final layouts are bit-identical to run() on the same config.
-// Thread-count invariance thus survives the transition to online
-// serving: S worker threads + L client lanes produce the same costs as
-// the single-threaded batch replay.
+// queues, claims only on an idle shard), and route order is the
+// submission order (routing mutex).  So when updates are submitted in
+// sequence order — which the deterministic verification mode
+// serve_deterministic() enforces across any number of client lanes via a
+// seed-derived ticket schedule — every cell sees exactly the sub-sequence
+// the batch ShardedEngine would feed it, and costs and final layouts are
+// bit-identical to run() on the same config.  Thread-count invariance
+// thus survives the transition to online serving: S worker threads + L
+// client lanes produce the same costs as the single-threaded batch
+// replay.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -59,15 +70,18 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Routes the update and enqueues it on its shard; the future resolves
-  /// to the update's cost L/k once the shard worker applied it, or
-  /// rethrows the cell's InvariantViolation on get().  Thread-safe.
+  /// Routes the update, then applies it on the calling thread if its
+  /// shard is idle (see the file comment), else enqueues it for the
+  /// shard worker; the future resolves to the update's cost L/k once
+  /// applied, or rethrows the cell's InvariantViolation on get().
+  /// Thread-safe.
   /// Throws immediately (nothing enqueued) for updates the router must
   /// reject: duplicate insert, delete of an absent item, an insert that
   /// fits no shard, or a submit after stop().
   std::future<double> submit(const Update& update);
 
-  /// Blocks until every accepted request has been applied.
+  /// Blocks until every accepted request has been applied (and every
+  /// inline apply has released its shard).
   void drain();
 
   /// Drain, close the queues and join the workers.  Idempotent; the
@@ -100,7 +114,8 @@ class ServingEngine {
     return base_.shard_count();
   }
   /// The wrapped engine, for post-stop() layout inspection.  Touching it
-  /// while workers run races with them — drain() or stop() first.
+  /// while requests are in flight races with their apply — drain() or
+  /// stop() first.
   [[nodiscard]] ShardedEngine& sharded() { return base_; }
 
   /// Queue-depth high-water mark of one shard's request queue (lifetime,
@@ -113,8 +128,8 @@ class ServingEngine {
   struct Request {
     Update update;
     std::promise<double> done;
-    /// Stamped at submit when queue metrics are wired; the shard worker
-    /// turns it into the queue-wait histogram sample.
+    /// Stamped at submit when queue metrics are wired; apply() turns it
+    /// into the queue-wait histogram sample.
     std::chrono::steady_clock::time_point enqueue_time{};
     /// Queue-wait trace span begin (wall us or logical tick), valid when
     /// traced is set.
@@ -123,13 +138,40 @@ class ServingEngine {
   };
 
   void worker_loop(std::size_t shard);
+  /// The per-request body, on the worker (`queued`) or the inline
+  /// submitter: queue-wait span and metric, the cell step under the
+  /// shard's exclusive lock, then the promise.  Never throws.
+  void apply(std::size_t shard, Request& r, bool queued);
   void finish_request();
 
   ShardedEngine base_;
   std::vector<obs::ServeMetrics> serve_metrics_;  ///< empty = off
   std::vector<std::unique_ptr<MpscQueue<Request>>> queues_;
-  /// Writer = the shard's worker applying an update; readers = queries.
-  std::vector<std::unique_ptr<std::shared_mutex>> shard_mu_;
+  /// Per-shard read/apply exclusion, one cache line per shard.
+  struct alignas(64) ShardLock {
+    /// Writer = the thread applying an update; readers = queries.
+    std::shared_mutex mu;
+    /// Read-side queries in flight, waiting for or holding `mu` shared.
+    std::atomic<std::size_t> readers{0};
+  };
+  /// A read-side query's hold on one shard: counted, then shared-locked.
+  class ReadLock {
+   public:
+    explicit ReadLock(ShardLock& shard) : shard_(shard) {
+      shard_.readers.fetch_add(1);
+      shard_.mu.lock_shared();
+    }
+    ~ReadLock() {
+      shard_.mu.unlock_shared();
+      shard_.readers.fetch_sub(1);
+    }
+    ReadLock(const ReadLock&) = delete;
+    ReadLock& operator=(const ReadLock&) = delete;
+
+   private:
+    ShardLock& shard_;
+  };
+  std::vector<std::unique_ptr<ShardLock>> shard_locks_;
   std::vector<std::thread> workers_;
 
   /// Serializes route_update + enqueue (and guards placement reads).
@@ -139,9 +181,11 @@ class ServingEngine {
   std::chrono::steady_clock::time_point first_submit_;
   double wall_seconds_ = 0.0;  ///< guarded by route_mu_
 
+  /// Accepted but not yet finished requests.  finish_request() takes
+  /// drain_mu_ only when it brings the count to zero.
+  std::atomic<std::size_t> in_flight_{0};
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
-  std::size_t in_flight_ = 0;  ///< guarded by drain_mu_
 };
 
 /// Deterministic verification harness: submits the whole sequence through

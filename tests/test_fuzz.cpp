@@ -20,12 +20,15 @@
 #include "fuzz/shrinker.h"
 #include "mem/memory.h"
 #include "release/slab_store.h"
+#include "testing.h"
 #include "util/check.h"
 #include "workload/sequence.h"
 #include "workload/trace.h"
 
 namespace memreal {
 namespace {
+
+using testing::ScopedRegistration;
 
 constexpr Tick kCap = Tick{1} << 40;
 
@@ -128,22 +131,6 @@ class ThrashingAllocator : public Allocator {
   }
 
   LayoutStore* mem_;
-};
-
-/// Registers a test allocator for the lifetime of one test.
-class ScopedRegistration {
- public:
-  ScopedRegistration(AllocatorInfo info, AllocatorFactory factory)
-      : name_(info.name) {
-    register_allocator(std::move(info), std::move(factory));
-  }
-  ~ScopedRegistration() { unregister_allocator(name_); }
-
-  ScopedRegistration(const ScopedRegistration&) = delete;
-  ScopedRegistration& operator=(const ScopedRegistration&) = delete;
-
- private:
-  std::string name_;
 };
 
 AllocatorInfo test_info(const std::string& name, CostBudget budget) {

@@ -1,15 +1,23 @@
 // Tests for the online concurrent serving layer (src/serve): MPSC queue
-// semantics, deterministic-mode bit-identity with the batch ShardedEngine
-// for every registry allocator on both engine flavors, concurrent
-// multi-client serving, snapshot-consistent read-side queries (including
-// arena payload reads), and rejection paths.  `ctest -L serve` runs this
-// suite alone; CI additionally runs it under ThreadSanitizer.
+// semantics and caller-runs claims, deterministic-mode bit-identity with
+// the batch ShardedEngine for every registry allocator on both engine
+// flavors, concurrent multi-client serving, requests queued behind an
+// inline apply, stop() racing a submitting client, snapshot-consistent
+// read-side queries (including arena payload reads), and rejection paths.
+// `ctest -L serve` runs this suite alone; CI additionally runs it under
+// ThreadSanitizer.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "alloc/registry.h"
 #include "arena/arena_store.h"
 #include "serve/mpsc_queue.h"
 #include "serve/serving_engine.h"
@@ -100,6 +108,75 @@ TEST(MpscQueue, MultiProducerDeliversEverythingInPerProducerOrder) {
     EXPECT_EQ(i, next[p]) << "producer " << p << " out of order";
     ++next[p];
   }
+}
+
+// -- Caller-runs claims -----------------------------------------------------
+
+TEST(MpscQueue, ClaimCountsAsOneAcceptedItemAtDepthOne) {
+  MpscQueue<int> q;
+  std::size_t depth = 0;
+  ASSERT_TRUE(q.try_claim(&depth));
+  EXPECT_EQ(depth, 1u);
+  EXPECT_EQ(q.pushed(), 1u);
+  EXPECT_EQ(q.high_water(), 1u);
+  EXPECT_FALSE(q.try_claim());  // one claim at a time
+  q.release_claim();
+  EXPECT_TRUE(q.try_claim());
+  q.release_claim();
+  EXPECT_EQ(q.pushed(), 2u);
+}
+
+TEST(MpscQueue, ClaimFailsWithBacklogBatchOutOrAfterClose) {
+  MpscQueue<int> q;
+  // ASSERTs: a wrongly granted claim would make the next pop_all wait
+  // forever.
+  q.push(1);
+  ASSERT_FALSE(q.try_claim());  // backlog
+  std::vector<int> got;
+  ASSERT_TRUE(q.pop_all(got));
+  ASSERT_FALSE(q.try_claim());  // batch out until the next pop_all
+  q.close();
+  EXPECT_FALSE(q.pop_all(got));  // marks the batch done; closed and empty
+  EXPECT_FALSE(q.try_claim());   // closed
+  EXPECT_EQ(q.pushed(), 1u);
+}
+
+TEST(MpscQueue, ClaimSucceedsOnceTheConsumerAsksForMore) {
+  MpscQueue<int> q;
+  q.push(1);
+  std::vector<int> first;
+  ASSERT_TRUE(q.pop_all(first));
+  std::atomic<bool> popped{false};
+  std::vector<int> second;
+  std::thread consumer([&] {
+    EXPECT_TRUE(q.pop_all(second));
+    popped.store(true);
+  });
+  // The consumer's next pop_all marks the first batch done.
+  while (!q.try_claim()) std::this_thread::yield();
+  q.push(2);  // queues behind the claim
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(popped.load()) << "pop_all returned while a claim was held";
+  q.release_claim();
+  consumer.join();
+  EXPECT_EQ(second, (std::vector<int>{2}));
+}
+
+TEST(MpscQueue, PopAllWaitsWhileAClaimIsHeldEvenWhenClosed) {
+  MpscQueue<int> q;
+  ASSERT_TRUE(q.try_claim());
+  q.close();
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    std::vector<int> got;
+    EXPECT_FALSE(q.pop_all(got));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load()) << "consumer exited under a held claim";
+  q.release_claim();
+  consumer.join();
+  EXPECT_TRUE(returned.load());
 }
 
 // -- Deterministic mode: bit-identity with the batch path -------------------
@@ -315,6 +392,165 @@ TEST(ServingEngine, ArenaPayloadReadsMatchFillPattern) {
   const Tick size = static_cast<Tick>(kEps * static_cast<double>(kWideCap));
   plain.submit(Update::insert(1, size)).get();
   EXPECT_TRUE(plain.payload_of(1).empty());
+}
+
+// -- Caller-runs serving ----------------------------------------------------
+
+/// A latch the gated allocator's inserts of kGatedId block on, and the
+/// flag that tells the test an apply is parked there.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool is_open = false;
+  bool entered = false;
+
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return is_open; });
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lock(mu);
+    is_open = true;
+    cv.notify_all();
+  }
+};
+
+constexpr ItemId kGatedId = 1;
+
+/// First-fit, non-moving; an insert of kGatedId blocks on the gate.
+class GatedAllocator : public Allocator {
+ public:
+  GatedAllocator(LayoutStore& mem, Gate& gate) : mem_(&mem), gate_(&gate) {}
+
+  void insert(ItemId id, Tick size) override {
+    if (id == kGatedId) gate_->pass();
+    for (const auto& [offset, len] : mem_->gaps()) {
+      if (len >= size) {
+        mem_->place(id, offset, size);
+        return;
+      }
+    }
+    mem_->place(id, mem_->span_end(), size);
+  }
+  void erase(ItemId id) override { mem_->remove(id); }
+  [[nodiscard]] std::string_view name() const override {
+    return "test-gated";
+  }
+  [[nodiscard]] bool resizable() const override { return false; }
+
+ private:
+  LayoutStore* mem_;
+  Gate* gate_;
+};
+
+/// A single-shard config over the gated allocator; the gate starts
+/// closed, so the first insert of kGatedId parks inside its inline apply.
+class GatedServe : public ::testing::Test {
+ protected:
+  static AllocatorInfo info() {
+    AllocatorInfo i;
+    i.name = "test-gated";
+    i.sizes = SizeProfile{1.0, 1.0, 2.0, 1.0, false};  // [eps, 2eps)
+    i.budget = CostBudget{4.0, 1.0};
+    i.default_eps = kEps;
+    return i;
+  }
+
+  Gate gate_;
+  testing::ScopedRegistration reg_{
+      info(), [this](LayoutStore& mem, const AllocatorParams&) {
+        return std::make_unique<GatedAllocator>(mem, gate_);
+      }};
+  const ShardedConfig config_ = serve_config("test-gated", "validated", 1);
+  const Tick size_ = static_cast<Tick>(kEps * static_cast<double>(kWideCap));
+};
+
+TEST_F(GatedServe, RequestsQueueBehindAnInlineApplyAndRunInRouteOrder) {
+  Sequence seq;
+  seq.updates = {Update::insert(kGatedId, size_), Update::insert(2, size_),
+                 Update::insert(3, size_)};
+  ServingEngine serve(config_);
+  std::future<double> a;
+  std::thread client_a([&] { a = serve.submit(seq.updates[0]); });
+  gate_.wait_entered();  // A holds the shard, applying inline
+  std::future<double> b = serve.submit(seq.updates[1]);
+  std::future<double> c = serve.submit(seq.updates[2]);
+  // A claim counts at depth 1; two requests queued behind it reach 2.
+  EXPECT_EQ(serve.queue_high_water(0), 2u);
+  EXPECT_EQ(b.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  EXPECT_EQ(c.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  gate_.open();
+  client_a.join();
+  const std::vector<double> costs = {a.get(), b.get(), c.get()};
+  const ShardedRunStats got = serve.stats();
+  serve.audit();
+  serve.stop();
+
+  ShardedEngine batch(config_);
+  const ShardedRunStats want = batch.run(seq);
+  EXPECT_EQ(got.global.updates, want.global.updates);
+  EXPECT_EQ(got.global.moved_mass, want.global.moved_mass);
+  EXPECT_EQ(got.global.cost.sum(), want.global.cost.sum());
+  EXPECT_EQ(got.global.cost.max(), want.global.cost.max());
+  EXPECT_EQ(costs[0] + costs[1] + costs[2], want.global.cost.sum());
+  // First-fit layouts record the apply order: A, then B, then C.
+  expect_same_layout(batch.memory(0), serve.sharded().memory(0));
+}
+
+TEST_F(GatedServe, StopWaitsForAnInlineApply) {
+  ServingEngine serve(config_);
+  std::future<double> a;
+  std::thread client(
+      [&] { a = serve.submit(Update::insert(kGatedId, size_)); });
+  gate_.wait_entered();
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    serve.stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load()) << "stop() returned during an inline apply";
+  gate_.open();
+  stopper.join();
+  client.join();
+  EXPECT_GE(a.get(), 0.0);
+  EXPECT_EQ(serve.sharded().stats().global.updates, 1u);
+  EXPECT_THROW((void)serve.submit(Update::insert(2, size_)),
+               InvariantViolation);  // submit after stop
+}
+
+TEST(ServingEngine, StopDrainsInlineAppliesOnClientThreads) {
+  ServingEngine serve(serve_config("simple", "release", 2));
+  const Sequence stream = client_streams(1, 2, 20000, 11)[0];
+  std::vector<std::future<double>> accepted;
+  accepted.reserve(stream.updates.size());
+  std::atomic<std::size_t> submitted{0};
+  std::thread client([&] {
+    for (const Update& u : stream.updates) {
+      try {
+        accepted.push_back(serve.submit(u));
+      } catch (const InvariantViolation&) {
+        return;  // submit after stop()
+      }
+      submitted.fetch_add(1);
+    }
+  });
+  while (submitted.load() < 200) std::this_thread::yield();
+  serve.stop();
+  // Inspect the cells without drain(): stop() itself must have waited
+  // for the client thread's in-progress inline apply.
+  const std::size_t applied = serve.sharded().stats().global.updates;
+  serve.sharded().audit();
+  client.join();
+  EXPECT_EQ(applied, accepted.size());
+  for (std::future<double>& f : accepted) EXPECT_GE(f.get(), 0.0);
+  serve.audit();
 }
 
 // -- Rejection paths --------------------------------------------------------

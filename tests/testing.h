@@ -7,6 +7,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "alloc/registry.h"
 #include "core/engine.h"
@@ -18,6 +19,22 @@
 #include "workload/sequence.h"
 
 namespace memreal::testing {
+
+/// Registers a test allocator for the lifetime of one test.
+class ScopedRegistration {
+ public:
+  ScopedRegistration(AllocatorInfo info, AllocatorFactory factory)
+      : name_(info.name) {
+    register_allocator(std::move(info), std::move(factory));
+  }
+  ~ScopedRegistration() { unregister_allocator(name_); }
+
+  ScopedRegistration(const ScopedRegistration&) = delete;
+  ScopedRegistration& operator=(const ScopedRegistration&) = delete;
+
+ private:
+  std::string name_;
+};
 
 /// A Memory wired for exhaustive validation: incremental checks plus a
 /// full audit at every update.
