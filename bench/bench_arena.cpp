@@ -26,10 +26,8 @@
 #include <vector>
 
 #include "alloc/registry.h"
-#include "arena/arena_cell.h"
 #include "bench_common.h"
 #include "harness/cell.h"
-#include "harness/validated_run.h"
 #include "workload/churn.h"
 #include "workload/vm_heap.h"
 
@@ -101,9 +99,9 @@ DiffPoint measure_differential(const std::string& allocator,
   plain_cfg.allocator = allocator;
   plain_cfg.params.eps = kEps;
   plain_cfg.params.seed = 1;
-  ValidatedCell plain(seq.capacity, seq.eps_ticks, plain_cfg);
-  ArenaCell arena(seq.capacity, seq.eps_ticks,
-                  arena_config(allocator, engine, /*verify=*/true));
+  Cell plain(seq.capacity, seq.eps_ticks, plain_cfg);
+  Cell arena(seq.capacity, seq.eps_ticks,
+             arena_config(allocator, engine, /*verify=*/true));
 
   DiffPoint p;
   p.allocator = allocator;
@@ -112,7 +110,7 @@ DiffPoint measure_differential(const std::string& allocator,
   p.arena = arena.run(seq.updates);
   plain.audit();
   arena.audit();  // includes the full payload-pattern sweep
-  p.payload_moves = static_cast<Tick>(arena.arena().payload_moves());
+  p.payload_moves = static_cast<Tick>(arena.arena()->payload_moves());
   p.costs_equal = p.plain.moved_mass == p.arena.moved_mass &&
                   p.plain.update_mass == p.arena.update_mass &&
                   p.plain.updates == p.arena.updates &&
@@ -192,8 +190,8 @@ void print_experiment() {
   Table thr_table({"allocator", "engine", "verify", "updates", "wall_s",
                    "updates/s", "moved_bytes", "bytes/s"});
   for (const bool verify : {true, false}) {
-    ArenaCell cell(heap.capacity, heap.eps_ticks,
-                   arena_config("folklore-compact", "release", verify));
+    Cell cell(heap.capacity, heap.eps_ticks,
+              arena_config("folklore-compact", "release", verify));
     const RunStats stats = cell.run(heap.updates);
     cell.audit();
     const double ups = stats.wall_seconds > 0.0
@@ -231,8 +229,8 @@ void bm_arena_vm_heap(benchmark::State& state) {
   const bool verify = state.range(0) != 0;
   const Sequence heap = heap_stream(2'000, 1);
   for (auto _ : state) {
-    ArenaCell cell(heap.capacity, heap.eps_ticks,
-                   arena_config("folklore-compact", "release", verify));
+    Cell cell(heap.capacity, heap.eps_ticks,
+              arena_config("folklore-compact", "release", verify));
     const RunStats stats = cell.run(heap.updates);
     benchmark::DoNotOptimize(stats.moved_bytes);
     state.counters["bytes_per_s"] =

@@ -30,38 +30,38 @@ ArenaAllocator::ArenaAllocator(const ArenaAllocatorConfig& config)
       min_ticks_,
       info.sizes.max_size(config.params.eps, config.capacity_ticks) - 1);
   const Eps eps = Eps::of(config.params.eps, config.capacity_ticks);
-  cell_ = std::make_unique<ArenaCell>(config.capacity_ticks, eps.ticks,
-                                      adapter_cell_config(config));
+  cell_ = make_cell(config.capacity_ticks, eps.ticks,
+                    adapter_cell_config(config));
 }
 
 std::uint64_t ArenaAllocator::max_size_bytes() const {
-  return cell_->arena().space().byte_of(config_.capacity_ticks);
+  return cell_->arena()->space().byte_of(config_.capacity_ticks);
 }
 
 std::uint64_t ArenaAllocator::min_allocation_size() const {
-  return cell_->arena().space().min_allocation_bytes();
+  return cell_->arena()->space().min_allocation_bytes();
 }
 
 std::uint64_t ArenaAllocator::alignment() const {
-  return cell_->arena().space().alignment();
+  return cell_->arena()->space().alignment();
 }
 
 std::uint64_t ArenaAllocator::align(std::uint64_t bytes) const {
-  return cell_->arena().space().align_up(bytes);
+  return cell_->arena()->space().align_up(bytes);
 }
 
 std::uint64_t ArenaAllocator::min_item_bytes() const {
   // The smallest payload that still occupies min_ticks_ ticks.
-  const Tick bpt = cell_->arena().bytes_per_tick();
+  const Tick bpt = cell_->arena()->bytes_per_tick();
   return min_ticks_ <= 1 ? 1 : (min_ticks_ - 1) * bpt + 1;
 }
 
 std::uint64_t ArenaAllocator::max_item_bytes() const {
-  return max_ticks_ * cell_->arena().bytes_per_tick();
+  return max_ticks_ * cell_->arena()->bytes_per_tick();
 }
 
 Tick ArenaAllocator::ticks_for(std::uint64_t size_bytes) const {
-  return cell_->arena().space().ticks_for_bytes(size_bytes);
+  return cell_->arena()->space().ticks_for_bytes(size_bytes);
 }
 
 std::optional<ArenaAllocator::Allocation> ArenaAllocator::allocate(
@@ -71,7 +71,7 @@ std::optional<ArenaAllocator::Allocation> ArenaAllocator::allocate(
   // Outside the band the registry allocator guarantees to serve.
   if (ticks < min_ticks_ || ticks > max_ticks_) return std::nullopt;
   // The adversary's load budget: live mass stays <= capacity - eps.
-  const ArenaStore& store = cell_->arena();
+  const ArenaStore& store = *cell_->arena();
   if (store.live_mass() + ticks + store.eps_ticks() > store.capacity()) {
     return std::nullopt;
   }
@@ -82,7 +82,7 @@ std::optional<ArenaAllocator::Allocation> ArenaAllocator::allocate(
 
 std::optional<ArenaAllocator::Allocation> ArenaAllocator::allocate_at_address(
     std::uint64_t addr, std::uint64_t size_bytes) {
-  if (!cell_->arena().space().aligned(addr)) return std::nullopt;
+  if (!cell_->arena()->space().aligned(addr)) return std::nullopt;
   std::optional<Allocation> alloc = allocate(size_bytes);
   if (!alloc) return std::nullopt;
   if (alloc->address == addr) return alloc;
@@ -91,7 +91,7 @@ std::optional<ArenaAllocator::Allocation> ArenaAllocator::allocate_at_address(
 }
 
 void ArenaAllocator::deallocate(std::uint64_t addr) {
-  const ArenaStore& store = cell_->arena();
+  const ArenaStore& store = *cell_->arena();
   const Tick tick = store.space().tick_of(addr);
   const std::optional<PlacedItem> item = store.item_at(tick);
   MEMREAL_CHECK_MSG(item && item->offset == tick,
@@ -101,41 +101,41 @@ void ArenaAllocator::deallocate(std::uint64_t addr) {
 }
 
 void ArenaAllocator::deallocate_id(ItemId id) {
-  ArenaStore& store = cell_->arena();
+  ArenaStore& store = *cell_->arena();
   const Tick size = store.size_of(id);
   const Tick bytes = store.bytes_of(id);
   cell_->step(Update::erase(id, size, bytes));
 }
 
 void ArenaAllocator::clear() {
-  while (cell_->arena().item_count() > 0) {
-    deallocate_id(cell_->arena().first_item()->id);
+  while (cell_->arena()->item_count() > 0) {
+    deallocate_id(cell_->arena()->first_item()->id);
   }
 }
 
 std::size_t ArenaAllocator::allocation_count() const {
-  return cell_->arena().item_count();
+  return cell_->arena()->item_count();
 }
 
 std::uint64_t ArenaAllocator::allocated_bytes() const {
   std::uint64_t total = 0;
-  for (const PlacedItem& item : cell_->arena().snapshot()) {
-    total += cell_->arena().bytes_of(item.id);
+  for (const PlacedItem& item : cell_->arena()->snapshot()) {
+    total += cell_->arena()->bytes_of(item.id);
   }
   return total;
 }
 
 std::uint64_t ArenaAllocator::address_of(ItemId id) const {
-  return cell_->arena().address_of(id);
+  return cell_->arena()->address_of(id);
 }
 
 std::span<const unsigned char> ArenaAllocator::payload(ItemId id) const {
-  return cell_->arena().payload(id);
+  return cell_->arena()->payload(id);
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 ArenaAllocator::available_addresses(std::uint64_t size_bytes) const {
-  const ArenaStore& store = cell_->arena();
+  const ArenaStore& store = *cell_->arena();
   const ByteSpace& space = store.space();
   const Tick need = ticks_for(size_bytes);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;

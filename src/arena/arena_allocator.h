@@ -3,7 +3,7 @@
 // The tt-metal allocator::Algorithm surface — allocate(size_bytes),
 // allocate_at_address(addr, size_bytes), deallocate(addr), plus
 // capacity / minimum-allocation / alignment queries — adapted to the
-// paper's reallocating model.  Internally the adapter owns an ArenaCell:
+// paper's reallocating model.  Internally the adapter owns an arena Cell:
 // every call becomes an engine update against a real char arena, so
 // payloads are stamped and verified and the byte/tick cost channels
 // accumulate exactly as in a driven run.
@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "arena/arena_cell.h"
+#include "harness/cell.h"
 
 namespace memreal {
 
@@ -116,7 +116,7 @@ class ArenaAllocator {
   ArenaAllocatorConfig config_;
   Tick min_ticks_ = 0;  ///< registry size band, in ticks
   Tick max_ticks_ = 0;
-  std::unique_ptr<ArenaCell> cell_;
+  std::unique_ptr<Cell> cell_;
   ItemId next_id_ = 1;
 };
 

@@ -1,7 +1,9 @@
-// The engine drives an allocator through an update sequence against the
-// validating memory model, bracketing each update in a transaction and
-// collecting RunStats.  It runs against any LayoutStore — the validating
-// Memory model or the release SlabStore.
+// The engine drives an allocator through an update sequence against a
+// LayoutStore, bracketing each update in a transaction and collecting
+// RunStats.  It is the one engine behind every cell flavour: validation
+// lives in the store, so over the validating Memory model each
+// end_update checks the update, and over the release SlabStore (no
+// per-update validation) the same engine is the release fast path.
 #pragma once
 
 #include <cstddef>

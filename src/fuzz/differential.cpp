@@ -3,9 +3,7 @@
 #include <memory>
 #include <sstream>
 
-#include "arena/arena_cell.h"
-#include "harness/validated_run.h"
-#include "release/release_cell.h"
+#include "harness/cell.h"
 #include "release/slab_store.h"
 #include "util/check.h"
 
@@ -33,7 +31,7 @@ namespace {
 /// human-readable description of the first difference, or empty if
 /// bit-identical.  `label` names the other store in messages.
 std::string compare_layouts(LayoutStore& validated, LayoutStore& other,
-                            const char* label = "release") {
+                            const char* label) {
   const std::vector<PlacedItem> a = validated.snapshot();
   const std::vector<PlacedItem> b = other.snapshot();
   if (a.size() != b.size()) {
@@ -62,7 +60,7 @@ std::string compare_layouts(LayoutStore& validated, LayoutStore& other,
 /// identical.  `label` names the other store in messages.
 std::string compare_counters(double validated_cost, double other_cost,
                              LayoutStore& validated, LayoutStore& other,
-                             const char* label = "release") {
+                             const char* label) {
   std::ostringstream os;
   if (validated_cost != other_cost) {
     os << "update cost differs: validated " << validated_cost << ", "
@@ -100,6 +98,88 @@ std::string check_byte_bound(const ArenaStore& store) {
   return os.str();
 }
 
+/// A cell run in lockstep with a target's reference (validated) cell:
+/// any difference from it is reported as `kind`; `label` names the cell
+/// in messages.
+struct Shadow {
+  std::unique_ptr<Cell> cell;
+  FailureKind kind;
+  const char* label;
+};
+
+/// Steps `shadow` through the update the reference cell just applied at
+/// `cost`; returns the first difference, or empty if none.  Layouts are
+/// compared only when `check_layout` is set.
+std::string step_shadow(Shadow& shadow, Cell& reference, const Update& u,
+                        double cost, bool check_layout) {
+  Cell& cell = *shadow.cell;
+  double shadow_cost = 0.0;
+  try {
+    shadow_cost = cell.step(u);
+  } catch (const InvariantViolation& e) {
+    return std::string(shadow.label) + " cell threw: " + e.what();
+  }
+  std::string diff = compare_counters(cost, shadow_cost, reference.memory(),
+                                      cell.memory(), shadow.label);
+  if (diff.empty() && cell.arena() != nullptr) {
+    diff = check_byte_bound(*cell.arena());
+  }
+  if (diff.empty() && check_layout) {
+    diff = compare_layouts(reference.memory(), cell.memory(), shadow.label);
+  }
+  return diff;
+}
+
+/// The end-of-run check of a shadow: full layout equality with the
+/// reference, then the shadow's own full audit (for arena cells this
+/// includes the payload-stamp sweep).
+std::string finish_shadow(Shadow& shadow, Cell& reference) {
+  std::string diff = compare_layouts(reference.memory(),
+                                     shadow.cell->memory(), shadow.label);
+  if (!diff.empty()) return diff;
+  try {
+    shadow.cell->audit();
+  } catch (const InvariantViolation& e) {
+    return std::string(shadow.label) + " cell failed its final audit: " +
+           e.what();
+  }
+  return {};
+}
+
+/// One target's reference cell plus the shadows the config asks for.
+struct Lockstep {
+  std::unique_ptr<Cell> reference;
+  std::vector<Shadow> shadows;
+};
+
+Lockstep make_lockstep(const Sequence& seq, const FuzzTarget& target,
+                       const DifferentialConfig& config) {
+  CellConfig cell;
+  cell.allocator = target.allocator;
+  cell.params = target.params;
+  cell.audit_every = config.audit_every;
+  cell.check_invariants_every = config.check_invariants_every;
+  Lockstep out;
+  out.reference = make_cell(seq.capacity, seq.eps_ticks, cell);
+  if (config.lockstep_release) {
+    // The release shadow adds no allocator self-checks of its own: the
+    // reference cell already runs them on the same decisions.
+    CellConfig release = cell;
+    release.engine = "release";
+    release.check_invariants_every = 0;
+    out.shadows.push_back({make_cell(seq.capacity, seq.eps_ticks, release),
+                           FailureKind::kEngineDivergence, "release"});
+  }
+  if (config.lockstep_arena) {
+    CellConfig arena = cell;
+    arena.arena = true;
+    arena.bytes_per_tick = config.arena_bytes_per_tick;
+    out.shadows.push_back({make_cell(seq.capacity, seq.eps_ticks, arena),
+                           FailureKind::kArenaDivergence, "arena"});
+  }
+  return out;
+}
+
 }  // namespace
 
 std::optional<FailureReport> run_differential(
@@ -107,31 +187,23 @@ std::optional<FailureReport> run_differential(
   MEMREAL_CHECK(!config.targets.empty());
   MEMREAL_CHECK(!seq.updates.empty());
 
-  std::vector<std::unique_ptr<ValidatedCell>> cells;
-  std::vector<std::unique_ptr<ReleaseCell>> release_cells;
-  std::vector<std::unique_ptr<ArenaCell>> arena_cells;
-  cells.reserve(config.targets.size());
+  std::vector<Lockstep> targets;
+  targets.reserve(config.targets.size());
   for (const FuzzTarget& t : config.targets) {
-    CellConfig cell;
-    cell.allocator = t.allocator;
-    cell.params = t.params;
-    cell.audit_every = config.audit_every;
-    cell.check_invariants_every = config.check_invariants_every;
-    cells.push_back(std::make_unique<ValidatedCell>(seq, cell));
-    if (config.lockstep_release) {
-      release_cells.push_back(std::make_unique<ReleaseCell>(
-          seq.capacity, seq.eps_ticks, cell));
-    }
-    if (config.lockstep_arena) {
-      CellConfig arena = cell;
-      arena.arena = true;
-      arena.bytes_per_tick = config.arena_bytes_per_tick;
-      arena_cells.push_back(std::make_unique<ArenaCell>(
-          seq.capacity, seq.eps_ticks, arena));
-    }
+    targets.push_back(make_lockstep(seq, t, config));
   }
   const std::size_t layout_every =
       config.audit_every == 0 ? 64 : config.audit_every;
+
+  auto report = [](FailureKind kind, const Cell& cell, std::size_t index,
+                   std::string message) {
+    FailureReport r;
+    r.kind = kind;
+    r.allocator = cell.name();
+    r.update_index = index;
+    r.message = std::move(message);
+    return r;
+  };
 
   // The reference live set replayed from the sequence itself; every target
   // must agree with it after every update.
@@ -147,26 +219,16 @@ std::optional<FailureReport> run_differential(
       --live_count;
       live_mass -= u.size;
     }
-    for (std::size_t t = 0; t < cells.size(); ++t) {
-      ValidatedCell& cell = *cells[t];
+    for (Lockstep& target : targets) {
+      Cell& cell = *target.reference;
       double cost = 0.0;
       try {
-        cost = cell.engine().step(u);
+        cost = cell.step(u);
       } catch (const InvariantViolation& e) {
-        FailureReport r;
-        r.kind = FailureKind::kInvariantViolation;
-        r.allocator = cell.name();
-        r.update_index = i;
-        r.message = e.what();
-        return r;
+        return report(FailureKind::kInvariantViolation, cell, i, e.what());
       }
       auto diverged = [&](const std::string& what) {
-        FailureReport r;
-        r.kind = FailureKind::kDivergence;
-        r.allocator = cell.name();
-        r.update_index = i;
-        r.message = what;
-        return r;
+        return report(FailureKind::kDivergence, cell, i, what);
       };
       if (u.is_insert() && cost < 1.0) {
         std::ostringstream os;
@@ -193,126 +255,42 @@ std::optional<FailureReport> run_differential(
            << " undercuts live mass " << live_mass;
         return diverged(os.str());
       }
-      if (config.lockstep_release) {
-        ReleaseCell& fast = *release_cells[t];
-        auto engine_diverged = [&](const std::string& what) {
-          FailureReport r;
-          r.kind = FailureKind::kEngineDivergence;
-          r.allocator = cell.name();
-          r.update_index = i;
-          r.message = what;
-          return r;
-        };
-        double fast_cost = 0.0;
-        try {
-          fast_cost = fast.step(u);
-        } catch (const InvariantViolation& e) {
-          return engine_diverged(std::string("release engine threw: ") +
-                                 e.what());
+      const bool check_layout = (i + 1) % layout_every == 0;
+      for (Shadow& shadow : target.shadows) {
+        std::string diff = step_shadow(shadow, cell, u, cost, check_layout);
+        if (!diff.empty()) return report(shadow.kind, cell, i, diff);
+        if (shadow.kind == FailureKind::kEngineDivergence &&
+            config.release_tamper) {
+          // The release shadow's top store is its SlabStore.
+          auto& slab = static_cast<SlabStore&>(shadow.cell->memory());
+          config.release_tamper(slab, i);
         }
-        std::string diff =
-            compare_counters(cost, fast_cost, cell.memory(), fast.memory());
-        if (diff.empty() && (i + 1) % layout_every == 0) {
-          diff = compare_layouts(cell.memory(), fast.memory());
-        }
-        if (!diff.empty()) return engine_diverged(diff);
-        if (config.release_tamper) config.release_tamper(fast.memory(), i);
-      }
-      if (config.lockstep_arena) {
-        ArenaCell& arena = *arena_cells[t];
-        auto arena_diverged = [&](const std::string& what) {
-          FailureReport r;
-          r.kind = FailureKind::kArenaDivergence;
-          r.allocator = cell.name();
-          r.update_index = i;
-          r.message = what;
-          return r;
-        };
-        double arena_cost = 0.0;
-        try {
-          arena_cost = arena.step(u);
-        } catch (const InvariantViolation& e) {
-          return arena_diverged(std::string("arena cell threw: ") + e.what());
-        }
-        std::string diff = compare_counters(cost, arena_cost, cell.memory(),
-                                            arena.memory(), "arena");
-        if (diff.empty()) diff = check_byte_bound(arena.arena());
-        if (diff.empty() && (i + 1) % layout_every == 0) {
-          diff = compare_layouts(cell.memory(), arena.memory(), "arena");
-        }
-        if (!diff.empty()) return arena_diverged(diff);
       }
     }
   }
 
-  for (std::size_t t = 0; t < cells.size(); ++t) {
-    ValidatedCell& cell = *cells[t];
-    if (config.lockstep_release) {
-      ReleaseCell& fast = *release_cells[t];
-      std::string diff = compare_layouts(cell.memory(), fast.memory());
-      if (diff.empty()) {
-        try {
-          fast.audit();
-        } catch (const InvariantViolation& e) {
-          diff = std::string("release store failed its final audit: ") +
-                 e.what();
-        }
-      }
-      if (!diff.empty()) {
-        FailureReport r;
-        r.kind = FailureKind::kEngineDivergence;
-        r.allocator = cell.name();
-        r.update_index = seq.updates.size();
-        r.message = diff;
-        return r;
-      }
-    }
-    if (config.lockstep_arena) {
-      ArenaCell& arena = *arena_cells[t];
-      std::string diff = compare_layouts(cell.memory(), arena.memory(),
-                                         "arena");
-      if (diff.empty()) {
-        try {
-          arena.audit();  // includes the full payload-stamp sweep
-        } catch (const InvariantViolation& e) {
-          diff = std::string("arena cell failed its final audit: ") +
-                 e.what();
-        }
-      }
-      if (!diff.empty()) {
-        FailureReport r;
-        r.kind = FailureKind::kArenaDivergence;
-        r.allocator = cell.name();
-        r.update_index = seq.updates.size();
-        r.message = diff;
-        return r;
-      }
+  const std::size_t end = seq.updates.size();
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    Cell& cell = *targets[t].reference;
+    for (Shadow& shadow : targets[t].shadows) {
+      std::string diff = finish_shadow(shadow, cell);
+      if (!diff.empty()) return report(shadow.kind, cell, end, diff);
     }
     try {
-      cell.memory().audit();
-      cell.allocator().check_invariants();
+      cell.audit();
     } catch (const InvariantViolation& e) {
-      FailureReport r;
-      r.kind = FailureKind::kInvariantViolation;
-      r.allocator = cell.name();
-      r.update_index = seq.updates.size();
-      r.message = e.what();
-      return r;
+      return report(FailureKind::kInvariantViolation, cell, end, e.what());
     }
-    const double observed = cell.engine().stats().ratio_cost();
+    const double observed = cell.stats().ratio_cost();
     const double bound =
         config.targets[t].budget.bound(seq.eps) * config.budget_slack;
     if (observed > bound) {
-      FailureReport r;
-      r.kind = FailureKind::kCostBudget;
-      r.allocator = cell.name();
-      r.update_index = seq.updates.size();
-      r.observed_cost = observed;
-      r.cost_bound = bound;
       std::ostringstream os;
       os << "amortized ratio cost " << observed << " exceeds the budget "
          << bound << " for eps " << seq.eps;
-      r.message = os.str();
+      FailureReport r = report(FailureKind::kCostBudget, cell, end, os.str());
+      r.observed_cost = observed;
+      r.cost_bound = bound;
       return r;
     }
   }

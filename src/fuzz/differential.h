@@ -12,7 +12,7 @@
 //     move at least the inserted mass (the item's bytes get written), and
 //     span may never undercut live mass.
 //   * kEngineDivergence — with lockstep_release set, each target also
-//     runs on the unchecked release engine (SlabStore + ReleaseEngine);
+//     runs on an unchecked release cell (the Engine over a SlabStore);
 //     any difference from the validated cell in per-update cost, O(1)
 //     model counters, or (at audit cadence and run end) the full layout
 //     is a release fast-path bug.

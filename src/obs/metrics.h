@@ -308,7 +308,7 @@ class MetricRegistry {
 // all pointers are either set (metrics wired) or null (observability off
 // for this object), so the hot-path guard is a single pointer test.
 
-// Per-cell (Engine / ReleaseEngine) instruments.
+// Per-cell (Engine) instruments.
 struct CellMetrics {
   Counter* updates = nullptr;
   Counter* inserts = nullptr;

@@ -156,8 +156,8 @@ class SlabStore final : public LayoutStore {
 
   /// Full O(n log n) structural check: SoA/map/index/span consistency,
   /// extent disjointness, mass totals, policy-gated span and load bounds.
-  /// Never runs implicitly — the release engine calls it only at run end
-  /// (and the fuzz oracle when judging a failure).
+  /// Never runs implicitly — a release cell runs it only on an explicit
+  /// Cell::audit() (and the fuzz oracle when judging a failure).
   void audit() const override;
 
   [[nodiscard]] ValidationPolicy& policy() override { return policy_; }

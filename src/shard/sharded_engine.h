@@ -2,10 +2,10 @@
 //
 // The paper's allocators each manage ONE contiguous cell [0, capacity).
 // ShardedEngine scales that out the way production reallocators do: it
-// owns S independent (Memory, Allocator, Engine) cells, routes every item
-// to a cell via a pluggable Router policy, and applies update batches in
-// parallel on a ThreadPool — one task per shard, each task replaying that
-// shard's sub-sequence in global order.
+// owns S independent Cells (harness/cell.h), routes every item to a cell
+// via a pluggable Router policy, and applies update batches in parallel on
+// a ThreadPool — one task per shard, each task replaying that shard's
+// sub-sequence in global order.
 //
 // Correctness model:
 //   * Routing is a *sequential* pass over the batch.  It assigns every
@@ -19,11 +19,13 @@
 //     each cell sees a well-formed single-cell sequence.  Cells share
 //     nothing; the final state is a pure function of (sequence, config)
 //     and in particular independent of the thread count.
-//   * With the default "validated" engine every cell keeps the full
-//     validation stack (incremental per-update checks, optional audit
-//     cadence, allocator self-checks) — a sharded run is as verified as S
-//     single-cell runs.  With engine = "release" the cells run the
-//     unchecked SlabStore fast path (harness/cell.h); audit() remains an
+//   * Every cell runs the same Engine; `engine` picks its store.  With
+//     the default "validated" store every cell keeps the full validation
+//     stack (incremental per-update checks, optional audit cadence,
+//     allocator self-checks) — a sharded run is as verified as S
+//     single-cell runs.  With engine = "release" the cells run over the
+//     unchecked SlabStore: the engine's per-update usage checks and the
+//     allocator self-check cadence still apply, and audit() remains an
 //     explicit full check.
 //
 // With S = 1 and the same allocator seed, ShardedEngine is update-for-
@@ -56,7 +58,7 @@
 namespace memreal {
 
 struct ShardedConfig {
-  /// Cell engine flavor for every shard: "validated" or "release" (see
+  /// Cell store for every shard: "validated" or "release" (see
   /// harness/cell.h).
   std::string engine = "validated";
   std::string allocator;   ///< registry name, used for every cell

@@ -1,6 +1,6 @@
 // Lockstep differential suite for the release engine (ctest -L release).
 //
-// The release fast path (SlabStore + ReleaseEngine) performs no per-update
+// The release fast path (Engine over SlabStore) performs no per-update
 // validation — THESE tests are its correctness story.  Every registry
 // allocator is driven through identical sequences on a validated cell and
 // a release cell in lockstep, asserting:
@@ -30,9 +30,7 @@
 #include "alloc/geo.h"
 #include "alloc/registry.h"
 #include "harness/cell.h"
-#include "harness/validated_run.h"
 #include "mem/memory.h"
-#include "release/release_cell.h"
 #include "release/slab_store.h"
 #include "shard/sharded_engine.h"
 #include "testing.h"
@@ -103,10 +101,10 @@ using StepHook = std::function<void(Cell& validated, Cell& release)>;
 void lockstep(const std::string& allocator, const Sequence& seq,
               double delta = 0.0, const StepHook& after_step = {}) {
   seq.check_well_formed();
-  ValidatedCell validated(seq.capacity, seq.eps_ticks,
-                          cell_config("validated", allocator, seq, delta));
-  ReleaseCell release(seq.capacity, seq.eps_ticks,
-                      cell_config("release", allocator, seq, delta));
+  Cell validated(seq.capacity, seq.eps_ticks,
+                 cell_config("validated", allocator, seq, delta));
+  Cell release(seq.capacity, seq.eps_ticks,
+               cell_config("release", allocator, seq, delta));
   for (std::size_t i = 0; i < seq.updates.size(); ++i) {
     const Update& u = seq.updates[i];
     const double vc = validated.step(u);
@@ -376,14 +374,14 @@ TEST(Lockstep, ShardedReleaseMatchesShardedValidated) {
 TEST(SlabStore, AuditCatchesPlantedCorruption) {
   const Sequence seq =
       make_simple_regime(kCap, 1.0 / 32, /*churn_updates=*/50, /*seed=*/7);
-  ReleaseCell cell(seq.capacity, seq.eps_ticks,
-                   cell_config("release", "folklore-compact", seq, 0.0));
+  Cell cell(seq.capacity, seq.eps_ticks,
+            cell_config("release", "folklore-compact", seq, 0.0));
   cell.run(seq.updates);
   cell.audit();  // healthy store passes
   ASSERT_GE(cell.memory().item_count(), 2u);
   // Shift the first item onto its right neighbor: the SoA record changes
   // but by_offset_/ends_ keep their stale view — exactly a slab bug.
-  cell.memory().debug_corrupt_first_offset(1);
+  static_cast<SlabStore&>(cell.memory()).debug_corrupt_first_offset(1);
   EXPECT_THROW(cell.memory().audit(), InvariantViolation);
 }
 
@@ -669,6 +667,43 @@ TEST(MakeCell, EngineNamesMatchFactory) {
     auto cell = make_cell(Tick{1} << 30, Tick{1} << 20, c);
     ASSERT_NE(cell, nullptr);
     EXPECT_EQ(cell->name(), "folklore-compact");
+  }
+}
+
+TEST(MakeCell, EveryFlavourRejectsMalformedDeletes) {
+  // A delete naming an absent id, or a live id with the wrong size, must
+  // fail before the allocator runs: a wrong size would charge the wrong k
+  // to L/k and update_mass, and no later audit could see it.
+  struct Flavour {
+    const char* engine;
+    bool arena;
+  };
+  for (const Flavour f : {Flavour{"validated", false},
+                          Flavour{"release", false},
+                          Flavour{"release", true}}) {
+    SCOPED_TRACE(std::string(f.engine) + (f.arena ? "+arena" : ""));
+    CellConfig c;
+    c.engine = f.engine;
+    c.arena = f.arena;
+    c.allocator = "folklore-compact";
+    c.params.eps = 1.0 / 64;
+    auto cell = make_cell(1024, 16, c);
+    cell->step(Update::insert(1, 4));
+    auto expect_rejected = [&](const Update& u, const std::string& what) {
+      try {
+        cell->step(u);
+        ADD_FAILURE() << "expected InvariantViolation containing '" << what
+                      << "'";
+      } catch (const InvariantViolation& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << "message was: " << e.what();
+      }
+    };
+    expect_rejected(Update::erase(1, 5), "sequence size mismatch for item 1");
+    expect_rejected(Update::erase(2, 4), "delete of absent item 2");
+    EXPECT_EQ(cell->stats().updates, 1u);
+    EXPECT_EQ(cell->stats().update_mass, 4u);
+    cell->audit();
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "alloc/registry.h"
+#include "cli.h"
 #include "perfadv/campaign.h"
 #include "perfadv/search.h"
 #include "perfadv/zoo.h"
@@ -22,6 +23,9 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
+
+constexpr Tool kTool{"memreal_adv"};
 
 constexpr const char* kUsage = R"(memreal_adv [options]
   --seed N           campaign seed (default 1)
@@ -59,47 +63,6 @@ search shape flags); thread count only changes the wall clock, and a
 single-allocator run reproduces that allocator's campaign member
 bit-exactly.
 )";
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_adv: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
 
 void print_scenarios(const AdvCampaignConfig& cfg) {
   std::vector<std::string> names = cfg.allocators;
@@ -173,18 +136,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + flag);
+      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
       return argv[++i];
     };
     if (flag == "--help" || flag == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
     } else if (flag == "--seed") {
-      cfg.base.seed = parse_u64(flag, value());
+      cfg.base.seed = parse_u64(kTool, flag, value());
     } else if (flag == "--iters") {
-      cfg.base.iterations = static_cast<std::size_t>(parse_u64(flag, value()));
+      cfg.base.iterations =
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--updates") {
-      cfg.base.updates = static_cast<std::size_t>(parse_u64(flag, value()));
+      cfg.base.updates =
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--allocators") {
       cfg.allocators = split_csv(value());
     } else if (flag == "--scenarios") {
@@ -192,34 +157,37 @@ int main(int argc, char** argv) {
     } else if (flag == "--engine") {
       cfg.base.engine = value();
       if (cfg.base.engine != "release" && cfg.base.engine != "validated") {
-        usage_error("--engine must be 'release' or 'validated'");
+        usage_error(kTool, "--engine must be 'release' or 'validated'");
       }
     } else if (flag == "--eps") {
-      cfg.base.eps = parse_double(flag, value());
+      cfg.base.eps = parse_double(kTool, flag, value());
       if (cfg.base.eps <= 0 || cfg.base.eps >= 1) {
-        usage_error("--eps must be in (0, 1)");
+        usage_error(kTool, "--eps must be in (0, 1)");
       }
     } else if (flag == "--capacity-log2") {
-      const std::uint64_t log2 = parse_u64(flag, value());
-      if (log2 < 10 || log2 > 62) usage_error("--capacity-log2 out of range");
+      const std::uint64_t log2 = parse_u64(kTool, flag, value());
+      if (log2 < 10 || log2 > 62) {
+        usage_error(kTool, "--capacity-log2 out of range");
+      }
       cfg.base.capacity = Tick{1} << log2;
     } else if (flag == "--max-edits") {
-      cfg.base.max_edits = static_cast<std::size_t>(parse_u64(flag, value()));
+      cfg.base.max_edits =
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--threads") {
-      cfg.threads = static_cast<std::size_t>(parse_u64(flag, value()));
+      cfg.threads = static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--no-shrink") {
       cfg.base.shrink = false;
     } else if (flag == "--shrink-checks") {
       cfg.base.max_shrink_checks =
-          static_cast<std::size_t>(parse_u64(flag, value()));
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--corpus") {
       cfg.corpus_dir = value();
     } else if (flag == "--replay") {
       replay_dir = value();
     } else if (flag == "--retain") {
-      retain = parse_double(flag, value());
+      retain = parse_double(kTool, flag, value());
     } else if (flag == "--min-gain") {
-      min_gain = parse_double(flag, value());
+      min_gain = parse_double(kTool, flag, value());
     } else if (flag == "--list-scenarios") {
       list_scenarios = true;
     } else if (flag == "--json") {
@@ -227,7 +195,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--quiet") {
       quiet = true;
     } else {
-      usage_error("unknown flag '" + flag + "'");
+      usage_error(kTool, "unknown flag '" + flag + "'");
     }
   }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fuzz/fuzzer.h"
 #include "util/check.h"
 #include "util/table.h"
@@ -17,6 +18,9 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
+
+constexpr Tool kTool{"memreal_fuzz"};
 
 constexpr const char* kUsage = R"(memreal_fuzz [options]
   --seed N           campaign seed (default 1)
@@ -53,48 +57,6 @@ Determinism: the failure set and every reproducer trace are a pure
 function of (--seed, --start-iter, --iters, workload shape flags) —
 thread count only changes the wall clock.
 )";
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_fuzz: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  // strtoull would silently wrap negatives ("-1" -> 2^64-1); reject them.
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
 
 void print_target_groups(const FuzzConfig& cfg) {
   const auto groups = make_target_groups(resolve_fuzz_targets(cfg));
@@ -166,24 +128,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + flag);
+      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
       return argv[++i];
     };
     if (flag == "--help" || flag == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
     } else if (flag == "--seed") {
-      cfg.seed = parse_u64(flag, value());
+      cfg.seed = parse_u64(kTool, flag, value());
     } else if (flag == "--iters") {
-      cfg.iterations = static_cast<std::size_t>(parse_u64(flag, value()));
+      cfg.iterations =
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--start-iter") {
-      cfg.start_iteration = parse_u64(flag, value());
+      cfg.start_iteration = parse_u64(kTool, flag, value());
     } else if (flag == "--updates") {
       cfg.updates_per_sequence =
-          static_cast<std::size_t>(parse_u64(flag, value()));
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--mutants") {
       cfg.mutants_per_sequence =
-          static_cast<std::size_t>(parse_u64(flag, value()));
+          static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--allocators") {
       cfg.allocators = split_csv(value());
     } else if (flag == "--scenario") {
@@ -192,16 +155,19 @@ int main(int argc, char** argv) {
       cfg.engine = value();
       if (cfg.engine != "validated" && cfg.engine != "release" &&
           cfg.engine != "arena") {
-        usage_error("--engine must be 'validated', 'release', or 'arena'");
+        usage_error(kTool,
+                    "--engine must be 'validated', 'release', or 'arena'");
       }
     } else if (flag == "--threads") {
-      cfg.threads = static_cast<std::size_t>(parse_u64(flag, value()));
+      cfg.threads = static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--capacity-log2") {
-      const std::uint64_t log2 = parse_u64(flag, value());
-      if (log2 < 10 || log2 > 62) usage_error("--capacity-log2 out of range");
+      const std::uint64_t log2 = parse_u64(kTool, flag, value());
+      if (log2 < 10 || log2 > 62) {
+        usage_error(kTool, "--capacity-log2 out of range");
+      }
       cfg.capacity = Tick{1} << log2;
     } else if (flag == "--budget-slack") {
-      cfg.budget_slack = parse_double(flag, value());
+      cfg.budget_slack = parse_double(kTool, flag, value());
     } else if (flag == "--no-shrink") {
       cfg.shrink = false;
     } else if (flag == "--corpus") {
@@ -211,7 +177,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--list") {
       list_only = true;
     } else {
-      usage_error("unknown flag '" + flag + "'");
+      usage_error(kTool, "unknown flag '" + flag + "'");
     }
   }
 

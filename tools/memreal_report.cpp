@@ -36,6 +36,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli.h"
 #include "report/bench_data.h"
 #include "report/markdown.h"
 #include "report/verdict.h"
@@ -45,6 +46,10 @@ namespace {
 
 using namespace memreal;
 using namespace memreal::report;
+using namespace memreal::cli;
+
+constexpr Tool kTool{"memreal_report",
+                     "see the header of tools/memreal_report.cpp for usage"};
 
 struct Options {
   std::string bench_dir = ".";
@@ -58,20 +63,12 @@ struct Options {
   bool quiet = false;
 };
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr,
-               "memreal_report: %s (see the header of "
-               "tools/memreal_report.cpp for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
 Options parse_args(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + flag);
+      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
       return argv[++i];
     };
     if (flag == "--bench-dir") {
@@ -89,16 +86,14 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--shard-floor") {
       o.shard_floor_path = next();
     } else if (flag == "--floor-ratio") {
-      char* end = nullptr;
-      const char* v = next();
-      o.floor_ratio = std::strtod(v, &end);
-      if (end == v || *end != '\0' || o.floor_ratio <= 0.0) {
-        usage_error("--floor-ratio must be a positive number");
+      o.floor_ratio = parse_double(kTool, flag, next());
+      if (o.floor_ratio <= 0.0) {
+        usage_error(kTool, "--floor-ratio must be a positive number");
       }
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
-      usage_error("unknown flag '" + flag + "'");
+      usage_error(kTool, "unknown flag '" + flag + "'");
     }
   }
   return o;

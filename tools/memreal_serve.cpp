@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "alloc/registry.h"
+#include "cli.h"
 #include "obs/metrics.h"
 #include "perfadv/zoo.h"
 #include "serve/serving_engine.h"
@@ -39,6 +40,9 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
+
+constexpr Tool kTool{"memreal_serve"};
 
 constexpr const char* kUsage = R"(memreal_serve [options]
   --allocator NAME   registry allocator for every cell (default simple)
@@ -130,40 +134,13 @@ std::string git_describe() {
 #endif
 }
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_serve: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
 std::vector<std::string> split_list(const std::string& flag,
                                     const char* value) {
   std::vector<std::string> out;
   std::string cur;
   for (const char* p = value;; ++p) {
     if (*p == ',' || *p == '\0') {
-      if (cur.empty()) usage_error("empty element in " + flag + " list");
+      if (cur.empty()) usage_error(kTool, "empty element in " + flag + " list");
       out.push_back(cur);
       cur.clear();
       if (*p == '\0') break;
@@ -179,7 +156,7 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + flag);
+      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
       return argv[++i];
     };
     if (flag == "--help" || flag == "-h") {
@@ -188,42 +165,40 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--allocator") {
       o.allocator = next();
     } else if (flag == "--engine") {
-      o.engine = next();
-      if (o.engine == "arena") {
-        o.engine = "validated";
-        o.arena = true;
-      } else if (o.engine != "validated" && o.engine != "release") {
-        usage_error("--engine must be 'validated', 'release', or 'arena'");
-      }
+      parse_engine(kTool, next(), o.engine, o.arena);
     } else if (flag == "--arena") {
       o.arena = true;
     } else if (flag == "--bytes-per-tick") {
-      o.bytes_per_tick = parse_u64(flag, next());
-      if (o.bytes_per_tick == 0) usage_error("--bytes-per-tick must be >= 1");
+      o.bytes_per_tick = parse_u64(kTool, flag, next());
+      if (o.bytes_per_tick == 0) {
+        usage_error(kTool, "--bytes-per-tick must be >= 1");
+      }
     } else if (flag == "--shards") {
-      o.shards = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.shards = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--clients") {
       o.clients.clear();
       for (const std::string& e : split_list(flag, next())) {
         o.clients.push_back(
-            static_cast<std::size_t>(parse_u64(flag, e.c_str())));
+            static_cast<std::size_t>(parse_u64(kTool, flag, e.c_str())));
       }
     } else if (flag == "--qps") {
       o.qps.clear();
       for (const std::string& e : split_list(flag, next())) {
-        o.qps.push_back(parse_double(flag, e.c_str()));
+        o.qps.push_back(parse_double(kTool, flag, e.c_str()));
       }
     } else if (flag == "--workload") {
       o.workload = next();
     } else if (flag == "--updates") {
-      o.updates = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.updates = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--eps") {
-      o.eps = parse_double(flag, next());
+      o.eps = parse_double(kTool, flag, next());
     } else if (flag == "--seed") {
-      o.seed = parse_u64(flag, next());
+      o.seed = parse_u64(kTool, flag, next());
     } else if (flag == "--capacity-log2") {
-      const std::uint64_t v = parse_u64(flag, next());
-      if (v < 10 || v > 50) usage_error("--capacity-log2 must be in [10, 50]");
+      const std::uint64_t v = parse_u64(kTool, flag, next());
+      if (v < 10 || v > 50) {
+        usage_error(kTool, "--capacity-log2 must be in [10, 50]");
+      }
       o.capacity_log2 = static_cast<unsigned>(v);
       o.capacity_log2_set = true;
     } else if (flag == "--skip-verify") {
@@ -236,7 +211,8 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--metrics-out") {
       o.metrics_out = next();
     } else if (flag == "--metrics-interval") {
-      o.metrics_interval_ms = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.metrics_interval_ms =
+          static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--prom-out") {
       o.prom_out = next();
     } else if (flag == "--metrics-summary") {
@@ -246,35 +222,40 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
-      usage_error("unknown flag '" + flag + "'");
+      usage_error(kTool, "unknown flag '" + flag + "'");
     }
   }
-  if (o.shards == 0) usage_error("--shards must be >= 1");
-  if (o.clients.empty()) usage_error("--clients list is empty");
+  if (o.shards == 0) usage_error(kTool, "--shards must be >= 1");
+  if (o.clients.empty()) usage_error(kTool, "--clients list is empty");
   for (const std::size_t c : o.clients) {
-    if (c == 0) usage_error("--clients entries must be >= 1");
+    if (c == 0) usage_error(kTool, "--clients entries must be >= 1");
   }
   for (const double q : o.qps) {
-    if (q < 0) usage_error("--qps entries must be >= 0 (0 = saturation)");
+    if (q < 0) {
+      usage_error(kTool, "--qps entries must be >= 0 (0 = saturation)");
+    }
   }
   if (o.arena && !o.capacity_log2_set) o.capacity_log2 = 22;
   if (o.shards > (std::numeric_limits<Tick>::max() >> o.capacity_log2)) {
-    usage_error("--shards x 2^capacity-log2 overflows the tick space");
+    usage_error(kTool, "--shards x 2^capacity-log2 overflows the tick space");
   }
-  if (o.eps <= 0.0 || o.eps >= 1.0) usage_error("--eps must be in (0, 1)");
+  if (o.eps <= 0.0 || o.eps >= 1.0) {
+    usage_error(kTool, "--eps must be in (0, 1)");
+  }
   if (o.verify_only && !o.verify) {
-    usage_error("--verify-only and --skip-verify are mutually exclusive");
+    usage_error(kTool,
+                "--verify-only and --skip-verify are mutually exclusive");
   }
   if (o.workload != "churn") {
     const ScenarioInfo* s = find_scenario(o.workload);
     if (s == nullptr) {
       std::string zoo;
       for (const std::string& n : scenario_names()) zoo += ", " + n;
-      usage_error("unknown workload '" + o.workload + "' (known: churn" +
+      usage_error(kTool, "unknown workload '" + o.workload + "' (known: churn" +
                   zoo + ")");
     }
     if (s->byte_mode) {
-      usage_error("workload '" + o.workload +
+      usage_error(kTool, "workload '" + o.workload +
                   "' is byte-addressed; the serving layer drives "
                   "tick-native streams (use memreal_shard for byte "
                   "workloads)");
@@ -291,8 +272,10 @@ Options parse_args(int argc, char** argv) {
         if (!compat.empty()) compat += ", ";
         compat += n;
       }
-      usage_error(why + " (compatible scenarios for " + o.allocator + ": " +
-                  (compat.empty() ? "none at this eps" : compat) + ")");
+      usage_error(kTool, why + " (compatible scenarios for " + o.allocator +
+                             ": " +
+                             (compat.empty() ? "none at this eps" : compat) +
+                             ")");
     }
   }
   return o;

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "alloc/registry.h"
+#include "cli.h"
 #include "obs/metrics.h"
 #include "perfadv/zoo.h"
 #include "shard/sharded_engine.h"
@@ -23,6 +24,9 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
+
+constexpr Tool kTool{"memreal_shard"};
 
 constexpr const char* kUsage = R"(memreal_shard [options]
   --allocator NAME   registry allocator for every cell (default simple)
@@ -113,39 +117,12 @@ struct Options {
   }
 };
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_shard: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
 Options parse_args(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error("missing value for " + flag);
+      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
       return argv[++i];
     };
     if (flag == "--help" || flag == "-h") {
@@ -154,51 +131,47 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--allocator") {
       o.allocator = next();
     } else if (flag == "--engine") {
-      o.engine = next();
-      // "arena" is an alias for --arena (matching memreal_fuzz's engine
-      // spelling): byte-backed cells over the validated store.
-      if (o.engine == "arena") {
-        o.engine = "validated";
-        o.arena = true;
-      } else if (o.engine != "validated" && o.engine != "release") {
-        usage_error("--engine must be 'validated', 'release', or 'arena'");
-      }
+      parse_engine(kTool, next(), o.engine, o.arena);
     } else if (flag == "--arena") {
       o.arena = true;
     } else if (flag == "--bytes-per-tick") {
-      o.bytes_per_tick = parse_u64(flag, next());
-      if (o.bytes_per_tick == 0) usage_error("--bytes-per-tick must be >= 1");
+      o.bytes_per_tick = parse_u64(kTool, flag, next());
+      if (o.bytes_per_tick == 0) {
+        usage_error(kTool, "--bytes-per-tick must be >= 1");
+      }
     } else if (flag == "--no-verify-payloads") {
       o.verify_payloads = false;
     } else if (flag == "--shards") {
-      o.shards = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.shards = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--threads") {
-      o.threads = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.threads = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--eps") {
-      o.eps = parse_double(flag, next());
+      o.eps = parse_double(kTool, flag, next());
     } else if (flag == "--router") {
       o.router = next();
     } else if (flag == "--workload") {
       o.workload = next();
     } else if (flag == "--updates") {
-      o.updates = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.updates = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--tenants") {
-      o.tenants = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.tenants = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--zipf") {
-      o.zipf = parse_double(flag, next());
+      o.zipf = parse_double(kTool, flag, next());
     } else if (flag == "--batch") {
-      o.batch = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.batch = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--rebalance") {
-      o.rebalance = parse_double(flag, next());
+      o.rebalance = parse_double(kTool, flag, next());
     } else if (flag == "--seed") {
-      o.seed = parse_u64(flag, next());
+      o.seed = parse_u64(kTool, flag, next());
     } else if (flag == "--capacity-log2") {
-      const std::uint64_t v = parse_u64(flag, next());
-      if (v < 10 || v > 50) usage_error("--capacity-log2 must be in [10, 50]");
+      const std::uint64_t v = parse_u64(kTool, flag, next());
+      if (v < 10 || v > 50) {
+        usage_error(kTool, "--capacity-log2 must be in [10, 50]");
+      }
       o.capacity_log2 = static_cast<unsigned>(v);
       o.capacity_log2_set = true;
     } else if (flag == "--audit-every") {
-      o.audit_every = static_cast<std::size_t>(parse_u64(flag, next()));
+      o.audit_every = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--no-validate") {
       o.validate = false;
     } else if (flag == "--json") {
@@ -212,25 +185,27 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
-      usage_error("unknown flag '" + flag + "'");
+      usage_error(kTool, "unknown flag '" + flag + "'");
     }
   }
-  if (o.shards == 0) usage_error("--shards must be >= 1");
+  if (o.shards == 0) usage_error(kTool, "--shards must be >= 1");
   // An arena shard carries a real byte payload per tick; the tick-only
   // default capacity would ask for terabytes of physical arena.
   if (o.arena && !o.capacity_log2_set) o.capacity_log2 = 22;
   // The global workload spans shards * 2^capacity-log2 ticks; reject
   // combinations that would wrap the tick space.
   if (o.shards > (std::numeric_limits<Tick>::max() >> o.capacity_log2)) {
-    usage_error("--shards x 2^capacity-log2 overflows the tick space");
+    usage_error(kTool, "--shards x 2^capacity-log2 overflows the tick space");
   }
-  if (o.eps <= 0.0 || o.eps >= 1.0) usage_error("--eps must be in (0, 1)");
+  if (o.eps <= 0.0 || o.eps >= 1.0) {
+    usage_error(kTool, "--eps must be in (0, 1)");
+  }
   if (o.workload != "churn" && o.workload != "multi-tenant" &&
       o.workload != "skewed" && o.workload != "vm_heap" &&
       find_scenario(o.workload) == nullptr) {
     std::string zoo;
     for (const std::string& s : scenario_names()) zoo += ", " + s;
-    usage_error("unknown workload '" + o.workload +
+    usage_error(kTool, "unknown workload '" + o.workload +
                 "' (known: churn, multi-tenant, skewed, vm_heap" + zoo +
                 ")");
   }
@@ -259,8 +234,10 @@ Sequence make_workload(const Options& o, Tick shard_capacity) {
         if (!compat.empty()) compat += ", ";
         compat += s;
       }
-      usage_error(why + " (compatible scenarios for " + o.allocator + ": " +
-                  (compat.empty() ? "none at this eps" : compat) + ")");
+      usage_error(kTool, why + " (compatible scenarios for " + o.allocator +
+                             ": " +
+                             (compat.empty() ? "none at this eps" : compat) +
+                             ")");
     }
     ScenarioParams p =
         scenario_params_for(info, o.eps, shard_capacity, o.updates, o.seed);
