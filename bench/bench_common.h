@@ -10,97 +10,22 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-
-#include <cstdlib>
-#include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <string>
-#include <utility>
 
 #include "core/engine.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "mem/memory.h"
+#include "report/bench_data.h"
 #include "util/json.h"
 #include "util/table.h"
 
 namespace memreal::bench {
 
-inline bool fast_mode() {
-  const char* v = std::getenv("MEMREAL_FAST");
-  return v != nullptr && v[0] == '1';
-}
-
-/// Build provenance stamped into every BENCH_*.json.  The
-/// MEMREAL_GIT_DESCRIBE env var wins (CI sets it from the checkout);
-/// otherwise the configure-time value baked in by CMake, else "unknown".
-inline std::string git_describe() {
-  const char* v = std::getenv("MEMREAL_GIT_DESCRIBE");
-  if (v != nullptr && v[0] != '\0') return v;
-#ifdef MEMREAL_GIT_DESCRIBE
-  return MEMREAL_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
-
-/// Machine-readable companion to the printed tables: a bench collects one
-/// JSON record per measured series and writes BENCH_<name>.json — the
-/// input `memreal_report` aggregates into docs/REPORT.md and the
-/// EXPERIMENTS.md marker blocks (CI uploads the files as artifacts — the
-/// perf trajectory across PRs).
-///
-/// Schema 2: {bench, schema: 2, git_describe, fast_mode, seeds,
-/// records: [...]}; every record is {kind, claim, series, ..., rows: [...]}
-/// with `series` unique within the bench.  `memreal_report` rejects any
-/// other schema version.  MEMREAL_BENCH_DIR overrides the output
-/// directory (default: cwd).
-class BenchJson {
- public:
-  static constexpr std::uint64_t kSchema = 2;
-
-  explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
-
-  /// Declares the workload/allocator seeds the sweeps derive from, for
-  /// the report's provenance table.
-  void set_seeds(std::initializer_list<std::uint64_t> seeds) {
-    seeds_ = Json::array();
-    for (const std::uint64_t s : seeds) seeds_.push(s);
-  }
-
-  void add(Json record) { records_.push(std::move(record)); }
-
-  /// Writes the artifact and prints its path; returns the path.
-  std::string write() const {
-    const char* dir = std::getenv("MEMREAL_BENCH_DIR");
-    std::string path = (dir != nullptr && dir[0] != '\0')
-                           ? std::string(dir) + "/"
-                           : std::string();
-    path += "BENCH_" + bench_ + ".json";
-    Json doc = Json::object();
-    doc.set("bench", bench_).set("schema", kSchema);
-    doc.set("git_describe", git_describe());
-    doc.set("fast_mode", fast_mode());
-    doc.set("seeds", seeds_);
-    doc.set("records", records_);
-    std::ofstream out(path);
-    out << doc.dump(2) << "\n";
-    out.flush();
-    if (!out) {
-      std::cerr << "BenchJson: FAILED to write " << path << "\n";
-      return "";
-    }
-    std::cout << "wrote " << path << " (" << records_.size()
-              << " records)\n";
-    return path;
-  }
-
- private:
-  std::string bench_;
-  Json seeds_ = Json::array();
-  Json records_ = Json::array();
-};
+// The one BENCH_*.json writer lives next to its reader.
+using report::BenchJson;
+using report::fast_mode;
 
 inline void print_header(const std::string& id, const std::string& claim) {
   std::cout << "\n==================================================\n"

@@ -121,20 +121,10 @@ void check_scenario_targets(const FuzzConfig& cfg,
                             const std::vector<TargetGroup>& groups) {
   for (const TargetGroup& group : groups) {
     for (const AllocatorInfo& info : group.members) {
-      const std::string why = scenario_incompatibility(
-          cfg.scenario, info, group.eps, cfg.capacity);
-      if (why.empty()) continue;
-      std::string compat;
-      for (const std::string& s :
-           compatible_scenarios(info, group.eps, cfg.capacity)) {
-        if (!compat.empty()) compat += ", ";
-        compat += s;
-      }
-      MEMREAL_CHECK_MSG(false, why << " (compatible scenarios for "
-                                   << info.name << ": "
-                                   << (compat.empty() ? "none at this eps"
-                                                      : compat)
-                                   << ")");
+      const std::string rejected =
+          scenario_rejection(cfg.scenario, info, group.eps, cfg.capacity,
+                             kMaxScenarioSeedUpdates);
+      MEMREAL_CHECK_MSG(rejected.empty(), rejected);
     }
   }
 }

@@ -43,7 +43,7 @@ std::uint64_t TraceSession::now() noexcept {
     return logical_.fetch_add(1, std::memory_order_relaxed);
   }
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch_)
           .count());
 }
@@ -117,8 +117,14 @@ std::string TraceSession::chrome_json() const {
         e.set("name", phase_name(ev.phase));
         e.set("cat", "memreal");
         e.set("ph", "X");
-        e.set("ts", ev.ts);
-        e.set("dur", ev.dur);
+        if (clock_ == Clock::kWall) {
+          // trace_event timestamps are microseconds; keep the sub-us part.
+          e.set("ts", static_cast<double>(ev.ts) / 1e3);
+          e.set("dur", static_cast<double>(ev.dur) / 1e3);
+        } else {
+          e.set("ts", ev.ts);
+          e.set("dur", ev.dur);
+        }
         e.set("pid", 1);
         e.set("tid", static_cast<std::uint64_t>(r->tid));
         Json args = Json::object();

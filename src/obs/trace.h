@@ -36,7 +36,7 @@ enum class SpanPhase : std::uint8_t {
 const char* phase_name(SpanPhase phase) noexcept;
 
 struct TraceEvent {
-  std::uint64_t ts = 0;   // microseconds (wall) or logical ticks
+  std::uint64_t ts = 0;   // nanoseconds (wall) or logical ticks
   std::uint64_t dur = 0;  // same unit as ts
   SpanPhase phase = SpanPhase::kApply;
   std::int32_t shard = -1;
@@ -60,7 +60,7 @@ class TraceSession {
   }
   Clock clock() const noexcept { return clock_; }
 
-  // Current timestamp: wall microseconds since start(), or the next
+  // Current timestamp: wall nanoseconds since start(), or the next
   // logical tick (each call advances the global tick counter).
   std::uint64_t now() noexcept;
 
@@ -69,8 +69,9 @@ class TraceSession {
   void record(SpanPhase phase, std::uint64_t begin, std::uint64_t end,
               std::int32_t shard) noexcept;
 
-  // Chrome trace_event JSON ("X" complete events).  Call only after
-  // writers quiesce.
+  // Chrome trace_event JSON ("X" complete events): wall spans as
+  // fractional microseconds, logical spans as integer ticks.  Call only
+  // after writers quiesce.
   std::string chrome_json() const;
   std::size_t event_count() const;
   std::size_t dropped() const;

@@ -27,15 +27,6 @@ Sequence to_tick_native(Sequence seq) {
   return seq;
 }
 
-std::string join(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
-
 struct Candidate {
   Sequence seq;
   double ratio = 0;
@@ -121,17 +112,13 @@ AdvResult run_adv_search(const AdvSearchConfig& config) {
 
   // --- Seed round: the scenario zoo is the baseline population. --------
   std::vector<std::string> scenarios = config.scenarios;
-  const std::vector<std::string> compatible =
-      compatible_scenarios(info, eps, config.capacity);
   if (scenarios.empty()) {
-    scenarios = compatible;
+    scenarios = compatible_scenarios(info, eps, config.capacity);
   } else {
     for (const std::string& s : scenarios) {
-      const std::string why =
-          scenario_incompatibility(s, info, eps, config.capacity);
-      MEMREAL_CHECK_MSG(why.empty(), why << " (compatible scenarios for "
-                                         << config.allocator << ": "
-                                         << join(compatible) << ")");
+      const std::string rejected = scenario_rejection(
+          s, info, eps, config.capacity, kMaxScenarioSeedUpdates);
+      MEMREAL_CHECK_MSG(rejected.empty(), rejected);
     }
   }
   MEMREAL_CHECK_MSG(!scenarios.empty(), "no compatible scenario for "

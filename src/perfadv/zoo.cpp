@@ -256,7 +256,8 @@ WorkloadShape scenario_shape(const ScenarioInfo& info,
 
 std::string scenario_incompatibility(const std::string& name,
                                      const AllocatorInfo& info, double eps,
-                                     Tick capacity) {
+                                     Tick capacity,
+                                     std::size_t max_fill_updates) {
   const ScenarioInfo* s = find_scenario(name);
   MEMREAL_CHECK_MSG(s != nullptr, "unknown scenario '"
                                       << name << "' (registered: "
@@ -280,7 +281,8 @@ std::string scenario_incompatibility(const std::string& name,
   // Fill feasibility: a seed fills toward the target load one item at a
   // time, so its length scales as load * capacity / item size.  Bands that
   // are tiny relative to capacity (TINYSLAB-family, sizes <= eps^4) would
-  // need millions of fill updates — unsearchable, so incompatible.
+  // need millions of fill updates — past the search ceiling, though a
+  // driver (no ceiling) still runs them.
   const WorkloadShape shape = scenario_shape(*s, p);
   const double fill_size =
       s->fill_on_min ? static_cast<double>(shape.min_size)
@@ -289,11 +291,11 @@ std::string scenario_incompatibility(const std::string& name,
                            2.0;
   const double est_fill =
       0.8 * static_cast<double>(capacity) / std::max(1.0, fill_size);
-  if (est_fill > static_cast<double>(kMaxScenarioSeedUpdates)) {
+  if (est_fill > static_cast<double>(max_fill_updates)) {
     return name + ": fill phase would need ~" +
            std::to_string(static_cast<unsigned long long>(est_fill)) +
            " updates at " + info.name + "'s size band (cap " +
-           std::to_string(kMaxScenarioSeedUpdates) +
+           std::to_string(max_fill_updates) +
            "); raise eps or shrink capacity";
   }
   std::string why;
@@ -302,10 +304,13 @@ std::string scenario_incompatibility(const std::string& name,
 }
 
 std::vector<std::string> compatible_scenarios(const AllocatorInfo& info,
-                                              double eps, Tick capacity) {
+                                              double eps, Tick capacity,
+                                              std::size_t max_fill_updates) {
   std::vector<std::string> names;
   for (const ScenarioInfo& s : scenario_infos()) {
-    if (scenario_incompatibility(s.name, info, eps, capacity).empty()) {
+    if (scenario_incompatibility(s.name, info, eps, capacity,
+                                 max_fill_updates)
+            .empty()) {
       names.push_back(s.name);
     }
   }

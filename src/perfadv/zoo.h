@@ -6,9 +6,10 @@
 // Each scenario declares what it needs from an allocator's size band
 // (minimum band ratio, palette capability), and scenario_incompatibility /
 // compatible_scenarios evaluate those needs against a registry
-// AllocatorInfo via AllocatorInfo::serves — drivers reject inadmissible
-// (workload, allocator) pairs up front with the allowed list instead of
-// failing mid-run.
+// AllocatorInfo via AllocatorInfo::serves.  scenario_rejection turns a
+// misfit into the one message every caller reports, naming the allowed
+// list, so inadmissible (workload, allocator) pairs are refused up front
+// instead of failing mid-run.
 //
 // Members:
 //   churn             steady-state banded churn (Theorem 3.1's regime)
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,10 +70,15 @@ struct ScenarioInfo {
   bool fill_on_min = false;
 };
 
-/// Ceiling on the estimated fill-phase update count of a zoo seed: a
-/// scenario whose fill would exceed this for an allocator's band is
-/// reported incompatible (the sequences would be far too long to search).
+/// Search and fuzz seeding policy: a scenario whose estimated fill phase
+/// exceeds this many updates for an allocator's band is reported
+/// incompatible (the sequences would be far too long to search).
 inline constexpr std::size_t kMaxScenarioSeedUpdates = 150'000;
+
+/// The drivers' fill ceiling: they run whatever length the user asked for,
+/// so a long fill is never a reason to refuse a workload.
+inline constexpr std::size_t kNoFillCeiling =
+    std::numeric_limits<std::size_t>::max();
 
 /// Every registered scenario, in registry order.
 [[nodiscard]] const std::vector<ScenarioInfo>& scenario_infos();
@@ -102,14 +109,27 @@ inline constexpr std::size_t kMaxScenarioSeedUpdates = 150'000;
                                            const ScenarioParams& p);
 
 /// Empty when `info` can serve the named scenario at (eps, capacity) with
-/// scenario_params_for-derived parameters; otherwise a one-line reason.
-/// Throws for unknown scenario names.
-[[nodiscard]] std::string scenario_incompatibility(const std::string& name,
-                                                   const AllocatorInfo& info,
-                                                   double eps, Tick capacity);
+/// scenario_params_for-derived parameters and an estimated fill phase of
+/// at most `max_fill_updates`; otherwise a one-line reason.  Throws for
+/// unknown scenario names.
+[[nodiscard]] std::string scenario_incompatibility(
+    const std::string& name, const AllocatorInfo& info, double eps,
+    Tick capacity, std::size_t max_fill_updates = kMaxScenarioSeedUpdates);
 
 /// The scenarios `info` can serve, in registry order.
 [[nodiscard]] std::vector<std::string> compatible_scenarios(
-    const AllocatorInfo& info, double eps, Tick capacity);
+    const AllocatorInfo& info, double eps, Tick capacity,
+    std::size_t max_fill_updates = kMaxScenarioSeedUpdates);
+
+/// Empty when `info` can serve `name`; otherwise the message every caller
+/// reports: the reason followed by "(compatible scenarios for <allocator>:
+/// <list>)", or "unknown scenario ..." listing the registry.  With
+/// `tick_native`, byte-mode scenarios are refused and left out of the list
+/// (for callers that drive tick-native streams only).
+[[nodiscard]] std::string scenario_rejection(const std::string& name,
+                                             const AllocatorInfo& info,
+                                             double eps, Tick capacity,
+                                             std::size_t max_fill_updates,
+                                             bool tick_native = false);
 
 }  // namespace memreal

@@ -1,8 +1,10 @@
 #include "report/bench_data.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 namespace memreal::report {
@@ -15,6 +17,52 @@ namespace {
 }
 
 }  // namespace
+
+bool fast_mode() {
+  const char* v = std::getenv("MEMREAL_FAST");
+  return v != nullptr && v[0] == '1';
+}
+
+std::string git_describe() {
+  const char* v = std::getenv("MEMREAL_GIT_DESCRIBE");
+  if (v != nullptr && v[0] != '\0') return v;
+#ifdef MEMREAL_GIT_DESCRIBE
+  return MEMREAL_GIT_DESCRIBE;
+#else
+  return "unknown";
+#endif
+}
+
+void BenchJson::set_seeds(std::initializer_list<std::uint64_t> seeds) {
+  seeds_ = Json::array();
+  for (const std::uint64_t s : seeds) seeds_.push(s);
+}
+
+std::string BenchJson::default_path() const {
+  const char* dir = std::getenv("MEMREAL_BENCH_DIR");
+  const std::string prefix =
+      dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "";
+  return prefix + "BENCH_" + bench_ + ".json";
+}
+
+bool BenchJson::write(const std::string& path) const {
+  Json doc = Json::object();
+  doc.set("bench", bench_).set("schema", kBenchSchema);
+  doc.set("git_describe", git_describe());
+  doc.set("fast_mode", fast_mode());
+  doc.set("seeds", seeds_);
+  doc.set("records", records_);
+  std::ofstream out(path);
+  out << doc.dump(2) << "\n";
+  out.flush();
+  if (!out) {
+    std::cerr << "BenchJson: cannot write '" << path << "'\n";
+    return false;
+  }
+  std::cout << "wrote " << path << " (" << records_.size()
+            << " records)\n";
+  return true;
+}
 
 std::vector<const Json*> BenchFile::records() const {
   std::vector<const Json*> out;

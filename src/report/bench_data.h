@@ -1,13 +1,17 @@
-// Loading BENCH_*.json artifacts back into memory.
+// BENCH_*.json artifacts: the one writer (BenchJson, used by every bench
+// and memreal_serve) and the loader that reads them back.
 //
-// The benches emit schema-2 documents (see bench/bench_common.h): every
-// file is {bench, schema: 2, git_describe, fast_mode, seeds, records} and
-// every record is {kind, claim, series, ..., rows: [...]}.  This layer
-// parses them via util/json, rejects stale schemas with a clear error,
-// and gives the verdict/markdown layers keyed access to records.
+// Every file is a schema-2 document {bench, schema: 2, git_describe,
+// fast_mode, seeds, records} and every record is {kind, claim, series,
+// ..., rows: [...]}.  The loader parses them via util/json, rejects stale
+// schemas with a clear error, and gives the verdict/markdown layers keyed
+// access to records.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,9 +27,45 @@ class ReportError : public std::runtime_error {
   explicit ReportError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// The schema version this report layer understands; bench/bench_common.h
-/// emits the same number (BenchJson::kSchema).
+/// The schema version BenchJson writes and this report layer reads.
 inline constexpr std::uint64_t kBenchSchema = 2;
+
+/// MEMREAL_FAST=1 in the environment: producers shrink their sweeps
+/// (smoke runs) and stamp the artifact accordingly.
+[[nodiscard]] bool fast_mode();
+
+/// Build provenance stamped into every BENCH_*.json.  The
+/// MEMREAL_GIT_DESCRIBE env var wins (CI sets it from the checkout);
+/// otherwise the configure-time value baked in by CMake, else "unknown".
+[[nodiscard]] std::string git_describe();
+
+/// Machine-readable companion to a producer's printed tables: one JSON
+/// record per measured series (`series` unique within the bench), written
+/// as BENCH_<bench>.json for `memreal_report` (and CI's artifact upload).
+class BenchJson {
+ public:
+  explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
+
+  /// Declares the workload/allocator seeds the sweeps derive from, for
+  /// the report's provenance table.
+  void set_seeds(std::initializer_list<std::uint64_t> seeds);
+
+  void add(Json record) { records_.push(std::move(record)); }
+
+  /// BENCH_<bench>.json, in MEMREAL_BENCH_DIR when set (default: cwd).
+  [[nodiscard]] std::string default_path() const;
+
+  /// Writes the artifact to default_path() / `path` and prints the path.
+  /// Returns false, after one line on stderr, when the file cannot be
+  /// written.
+  bool write() const { return write(default_path()); }
+  bool write(const std::string& path) const;
+
+ private:
+  std::string bench_;
+  Json seeds_ = Json::array();
+  Json records_ = Json::array();
+};
 
 struct BenchFile {
   std::string path;

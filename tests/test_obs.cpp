@@ -369,8 +369,28 @@ TEST(ObsTrace, ChromeJsonRoundTripsWithLogicalClock) {
     EXPECT_EQ(e.at("args").at("shard").as_u64(), 2u);
     const std::string name = e.at("name").as_string();
     EXPECT_TRUE(name == "route" || name == "apply") << name;
+    EXPECT_LT(e.at("ts").as_u64(), 4u);  // logical ticks stay integers
   }
   EXPECT_EQ(events, 2u);
+  trace.clear();
+}
+
+// Wall spans are stamped in nanoseconds and exported as fractional
+// microseconds, so a sub-microsecond apply keeps its duration.
+TEST(ObsTrace, WallClockExportsFractionalMicroseconds) {
+  TraceSession& trace = TraceSession::global();
+  trace.start(TraceSession::Clock::kWall, 4);
+  trace.record(SpanPhase::kApply, 1500, 2250, 0);
+  trace.stop();
+  const Json doc = Json::parse(trace.chrome_json());
+  EXPECT_EQ(doc.at("clock").as_string(), "wall");
+  ASSERT_EQ(doc.at("traceEvents").size(), 1u);
+  for (const auto& [key, e] : doc.at("traceEvents").items()) {
+    (void)key;
+    EXPECT_EQ(e.at("name").as_string(), "apply");
+    EXPECT_EQ(e.at("ts").as_double(), 1.5);
+    EXPECT_EQ(e.at("dur").as_double(), 0.75);
+  }
   trace.clear();
 }
 

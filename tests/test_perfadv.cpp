@@ -263,6 +263,45 @@ TEST(PerfAdv, IncompatibleScenarioIsRejectedWithReason) {
   EXPECT_THROW((void)run_adv_search(cfg), InvariantViolation);
 }
 
+// The fill ceiling is a search policy, not an admissibility rule: at eps
+// 1/32 over 2^40, tinyslab's band needs millions of fill updates, so
+// search and fuzz seeding refuse it while the drivers (no ceiling) run it.
+TEST(PerfAdv, SeedCeilingAppliesToSearchNotDrivers) {
+  const AllocatorInfo tinyslab = allocator_info("tinyslab");
+  constexpr Tick kCap = Tick{1} << 40;
+  EXPECT_EQ(scenario_rejection("churn", tinyslab, 1.0 / 32, kCap,
+                               kNoFillCeiling),
+            "");
+  const std::string why = scenario_rejection("churn", tinyslab, 1.0 / 32,
+                                             kCap, kMaxScenarioSeedUpdates);
+  EXPECT_NE(why.find("fill phase would need"), std::string::npos) << why;
+  EXPECT_NE(why.find("compatible scenarios for tinyslab"), std::string::npos)
+      << why;
+  EXPECT_FALSE(scenario_incompatibility("churn", tinyslab, 1.0 / 32, kCap)
+                   .empty());
+}
+
+// A tick-native driver (memreal_serve) refuses byte-addressed scenarios
+// and leaves them out of the compatible list; unknown names are refused
+// with the registry.
+TEST(PerfAdv, RejectionNamesTickNativeAlternatives) {
+  const AllocatorInfo simple = allocator_info("simple");
+  constexpr Tick kCap = Tick{1} << 40;
+  EXPECT_EQ(scenario_rejection("vm_heap", simple, 1.0 / 64, kCap,
+                               kNoFillCeiling),
+            "");
+  const std::string why = scenario_rejection(
+      "vm_heap", simple, 1.0 / 64, kCap, kNoFillCeiling, /*tick_native=*/true);
+  EXPECT_NE(why.find("byte-addressed"), std::string::npos) << why;
+  EXPECT_NE(why.find("compatible scenarios for simple: churn"),
+            std::string::npos)
+      << why;
+  EXPECT_EQ(why.find("vm_heap)"), std::string::npos) << why;
+  const std::string unknown =
+      scenario_rejection("nope", simple, 1.0 / 64, kCap, kNoFillCeiling);
+  EXPECT_NE(unknown.find("unknown scenario 'nope'"), std::string::npos);
+}
+
 // The eps auto-bump: tinyslab-family bands need ~eps^-4 fill items, so
 // the search eps doubles (never past the registry ceiling) until zoo
 // fills are feasible; an explicit request always wins.

@@ -1,7 +1,9 @@
 // Command-line plumbing shared by the operational CLIs: usage errors,
-// strict number parsing, comma-separated lists and the cell drivers'
-// --engine spelling.  A usage error prints one line to stderr and exits
-// with status 2.
+// strict number parsing, comma-separated lists, the cell drivers'
+// --engine spelling and their output files (--metrics-out / --prom-out /
+// --metrics-summary and --trace-out).  A usage error prints one line to
+// stderr and exits with status 2; an output file that cannot be written
+// prints one line and makes the tool exit 1.
 #pragma once
 
 #include <cctype>
@@ -10,8 +12,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace memreal::cli {
 
@@ -89,6 +96,61 @@ inline void parse_engine(const Tool& tool, const char* value,
   } else if (engine != "validated" && engine != "release") {
     usage_error(tool, "--engine must be 'validated', 'release', or 'arena'");
   }
+}
+
+/// Writes `text` to `path`; on failure prints "<tool>: cannot write
+/// '<path>'" to stderr and returns false.
+inline bool write_text(const Tool& tool, const std::string& path,
+                       const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", tool.name, path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// --metrics-out / --prom-out / --metrics-summary: the final registry
+/// snapshot (JSON), its Prometheus dump (each skipped when empty) and the
+/// summary table.  Returns the tool's exit status (1 = a write failed).
+inline int write_metrics_outputs(const Tool& tool,
+                                 const obs::MetricRegistry& reg,
+                                 const std::string& metrics_out,
+                                 const std::string& prom_out, bool summary) {
+  if (!metrics_out.empty() &&
+      !write_text(tool, metrics_out, reg.snapshot_json().dump(2) + "\n")) {
+    return 1;
+  }
+  if (!prom_out.empty() &&
+      !write_text(tool, prom_out, reg.prometheus_text())) {
+    return 1;
+  }
+  if (summary) std::cout << "metrics summary:\n" << reg.summary_table();
+  return 0;
+}
+
+/// --trace-out: arms the global wall-clock trace session when `path` is
+/// non-empty; every span recorded until finish_trace lands in the file.
+inline void start_trace(const std::string& path) {
+  if (!path.empty()) {
+    obs::TraceSession::global().start(obs::TraceSession::Clock::kWall);
+  }
+}
+
+/// Disarms the session and writes its Chrome trace_event JSON to `path`
+/// (a no-op when empty).  Call once every recording thread has quiesced.
+/// Returns the tool's exit status, like write_metrics_outputs.
+inline int finish_trace(const Tool& tool, const std::string& path) {
+  if (path.empty()) return 0;
+  obs::TraceSession& trace = obs::TraceSession::global();
+  trace.stop();
+  if (!write_text(tool, path, trace.chrome_json() + "\n")) return 1;
+  std::cout << "trace: " << trace.event_count() << " spans ("
+            << trace.dropped() << " overwritten) -> " << path << "\n";
+  trace.clear();
+  return 0;
 }
 
 }  // namespace memreal::cli

@@ -10,17 +10,16 @@
 // Run with --help for usage.  Exit status 0 = clean, 1 = invariant
 // violation or verify mismatch, 2 = usage error.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,13 +28,13 @@
 #include "cli.h"
 #include "obs/metrics.h"
 #include "perfadv/zoo.h"
+#include "report/bench_data.h"
 #include "serve/serving_engine.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "workload/churn.h"
 
 namespace {
 
@@ -46,11 +45,10 @@ constexpr Tool kTool{"memreal_serve"};
 
 constexpr const char* kUsage = R"(memreal_serve [options]
   --allocator NAME   registry allocator for every cell (default simple)
-  --workload W       client request stream: churn (default) or any
-                     tick-native scenario-zoo name (memreal_adv
-                     --list-scenarios); a zoo workload the allocator
-                     cannot serve errors up front with the compatible
-                     list
+  --workload W       client request stream: any tick-native scenario-zoo
+                     name (default churn; memreal_adv --list-scenarios
+                     prints the zoo); a workload the allocator cannot
+                     serve errors up front with the compatible list
   --engine E         cell engine: validated (default), release or arena
                      (arena = byte-backed cells, alias for --arena,
                      matching memreal_shard / memreal_fuzz)
@@ -81,6 +79,8 @@ constexpr const char* kUsage = R"(memreal_serve [options]
                      (0 = final snapshot per point only; default 0)
   --prom-out FILE    Prometheus text dump of the last sweep point
   --metrics-summary  print the metric summary table after the sweep
+  --trace-out FILE   write the latency sweep's lifecycle spans (route,
+                     queue-wait, apply, validate) as Chrome trace JSON
   --skip-overhead    skip the metrics-overhead measurement (saturation
                      throughput metrics-on vs metrics-off)
   --quiet            suppress the tables (summary lines + JSON only)
@@ -109,30 +109,16 @@ struct Options {
   bool capacity_log2_set = false;
   bool verify = true;
   bool verify_only = false;
-  std::string json_path = "BENCH_serve.json";
-  bool json_path_set = false;
+  /// Unset = BENCH_serve.json (in MEMREAL_BENCH_DIR if set); "" = off.
+  std::optional<std::string> json_path;
   std::string metrics_out;
   std::size_t metrics_interval_ms = 0;
   std::string prom_out;
   bool metrics_summary = false;
+  std::string trace_out;
   bool overhead = true;
   bool quiet = false;
 };
-
-bool fast_mode() {
-  const char* v = std::getenv("MEMREAL_FAST");
-  return v != nullptr && v[0] == '1';
-}
-
-std::string git_describe() {
-  const char* v = std::getenv("MEMREAL_GIT_DESCRIBE");
-  if (v != nullptr && v[0] != '\0') return v;
-#ifdef MEMREAL_GIT_DESCRIBE
-  return MEMREAL_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
 
 std::vector<std::string> split_list(const std::string& flag,
                                     const char* value) {
@@ -207,7 +193,6 @@ Options parse_args(int argc, char** argv) {
       o.verify_only = true;
     } else if (flag == "--json") {
       o.json_path = next();
-      o.json_path_set = true;
     } else if (flag == "--metrics-out") {
       o.metrics_out = next();
     } else if (flag == "--metrics-interval") {
@@ -217,6 +202,8 @@ Options parse_args(int argc, char** argv) {
       o.prom_out = next();
     } else if (flag == "--metrics-summary") {
       o.metrics_summary = true;
+    } else if (flag == "--trace-out") {
+      o.trace_out = next();
     } else if (flag == "--skip-overhead") {
       o.overhead = false;
     } else if (flag == "--quiet") {
@@ -245,38 +232,6 @@ Options parse_args(int argc, char** argv) {
   if (o.verify_only && !o.verify) {
     usage_error(kTool,
                 "--verify-only and --skip-verify are mutually exclusive");
-  }
-  if (o.workload != "churn") {
-    const ScenarioInfo* s = find_scenario(o.workload);
-    if (s == nullptr) {
-      std::string zoo;
-      for (const std::string& n : scenario_names()) zoo += ", " + n;
-      usage_error(kTool, "unknown workload '" + o.workload + "' (known: churn" +
-                  zoo + ")");
-    }
-    if (s->byte_mode) {
-      usage_error(kTool, "workload '" + o.workload +
-                  "' is byte-addressed; the serving layer drives "
-                  "tick-native streams (use memreal_shard for byte "
-                  "workloads)");
-    }
-    const Tick shard_capacity = Tick{1} << o.capacity_log2;
-    const std::string why = scenario_incompatibility(
-        o.workload, allocator_info(o.allocator), o.eps, shard_capacity);
-    if (!why.empty()) {
-      std::string compat;
-      for (const std::string& n : compatible_scenarios(
-               allocator_info(o.allocator), o.eps, shard_capacity)) {
-        const ScenarioInfo* info = find_scenario(n);
-        if (info != nullptr && info->byte_mode) continue;
-        if (!compat.empty()) compat += ", ";
-        compat += n;
-      }
-      usage_error(kTool, why + " (compatible scenarios for " + o.allocator +
-                             ": " +
-                             (compat.empty() ? "none at this eps" : compat) +
-                             ")");
-    }
   }
   return o;
 }
@@ -308,57 +263,39 @@ double bounded_load(double want, Tick min_size, Tick max_size, Tick capacity,
   return std::min(want, cap);
 }
 
-/// One client's request stream: sizes from the allocator's registered
-/// band over the *shard* capacity, live-mass budget a 1/clients slice of
-/// the global capacity, ids remapped into a per-client residue class so
-/// concurrent clients never race an insert against its own delete.
+/// A zoo stream with sizes from `allocator`'s registered band over the
+/// *shard* capacity, a live-mass budget of `capacity` and the fill bounded
+/// to ~`max_items` items of the band (see bounded_load).
+Sequence zoo_stream(const std::string& workload, const std::string& allocator,
+                    double eps, Tick shard_capacity, Tick capacity,
+                    double want_load, std::size_t max_items,
+                    std::size_t updates, std::uint64_t seed) {
+  ScenarioParams p = scenario_params_for(allocator_info(allocator), eps,
+                                         shard_capacity, updates, seed);
+  p.capacity = capacity;
+  p.target_load =
+      bounded_load(want_load, p.min_size, p.max_size, capacity, max_items);
+  return make_scenario(workload, p);
+}
+
+/// One client's request stream: a 1/clients slice of the global capacity,
+/// ids remapped into a per-client residue class so concurrent clients
+/// never race an insert against its own delete.
 Sequence client_workload(const Options& o, Tick shard_capacity,
                          std::size_t clients, std::size_t client,
                          std::size_t point) {
-  const AllocatorInfo info = allocator_info(o.allocator);
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  const Tick capacity = shard_capacity * o.shards / clients;
   const std::size_t updates = std::max<std::size_t>(50, o.updates / clients);
-  const double load = bounded_load(0.5, min_size, max_size, capacity,
-                                   std::max<std::size_t>(updates, 1'000));
   SplitMix64 mix(o.seed + 7919 * point + client);
-  Sequence s;
-  if (o.workload != "churn") {
-    // Zoo scenario: band over the shard capacity like the churn path,
-    // budget and fill bounded to this client's slice.
-    ScenarioParams p = scenario_params_for(info, o.eps, shard_capacity,
-                                           updates, mix.next());
-    p.capacity = capacity;
-    p.target_load = load;
-    s = make_scenario(o.workload, p);
-  } else if (info.sizes.fixed_palette) {
-    DiscreteChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = mix.next();
-    s = make_discrete_churn(c);
-  } else {
-    ChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = mix.next();
-    s = make_churn(c);
-  }
+  Sequence s = zoo_stream(o.workload, o.allocator, o.eps, shard_capacity,
+                          shard_capacity * o.shards / clients, 0.5,
+                          std::max<std::size_t>(updates, 1'000), updates,
+                          mix.next());
   for (Update& u : s.updates) u.id = u.id * clients + client;
   return s;
 }
 
-/// Cell-metric label used by the sweep: memreal_serve drives the churn
-/// workload, and arena-backed cells register under "<engine>+arena".
+/// Cell-metric engine label used by the sweep: arena-backed cells
+/// register under "<engine>+arena".
 std::string engine_label(const Options& o) {
   return o.arena ? o.engine + "+arena" : o.engine;
 }
@@ -678,34 +615,9 @@ VerifyResult verify_pair(const Options& o, const std::string& allocator,
   // classes resolve, independent of the latency sweep's geometry.
   const Tick shard_capacity = o.arena ? Tick{1} << o.capacity_log2
                                       : Tick{1} << 40;
-  const AllocatorInfo info = allocator_info(allocator);
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  const Tick capacity = shard_capacity * o.shards;
-  const double load =
-      bounded_load(0.7, min_size, max_size, capacity, 1'000);
-  Sequence seq;
-  if (info.sizes.fixed_palette) {
-    DiscreteChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = o.seed;
-    seq = make_discrete_churn(c);
-  } else {
-    ChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = o.seed;
-    seq = make_churn(c);
-  }
+  const Sequence seq =
+      zoo_stream("churn", allocator, o.eps, shard_capacity,
+                 shard_capacity * o.shards, 0.7, 1'000, updates, o.seed);
 
   const ShardedConfig config = base_config(o, allocator, engine,
                                            shard_capacity);
@@ -733,13 +645,19 @@ VerifyResult verify_pair(const Options& o, const std::string& allocator,
 }
 
 int run(const Options& o) {
-  const bool fast = fast_mode();
+  const bool fast = report::fast_mode();
   const Tick shard_capacity = Tick{1} << o.capacity_log2;
   const std::size_t sweep_updates =
       fast ? std::min<std::size_t>(o.updates, 2'000) : o.updates;
   const std::size_t verify_updates = fast ? 200 : 600;
 
-  Json records = Json::array();
+  const std::string rejected =
+      scenario_rejection(o.workload, allocator_info(o.allocator), o.eps,
+                         shard_capacity, kNoFillCeiling, /*tick_native=*/true);
+  if (!rejected.empty()) usage_error(kTool, rejected);
+
+  report::BenchJson artifact("serve");
+  artifact.set_seeds({o.seed});
   bool verify_ok = true;
 
   if (o.verify) {
@@ -779,7 +697,7 @@ int run(const Options& o) {
         .set("series", "deterministic-verify")
         .set("lanes", std::uint64_t{3})
         .set("rows", std::move(rows));
-    records.push(std::move(rec));
+    artifact.add(std::move(rec));
   }
 
   if (!o.verify_only) {
@@ -795,6 +713,7 @@ int run(const Options& o) {
       snap_out = &snap_file;
     }
 
+    start_trace(o.trace_out);
     Table lt({"clients", "target_qps", "achieved_qps", "p50_us", "p99_us",
               "p999_us", "max_us", "mean_us"});
     Json rows = Json::array();
@@ -837,6 +756,7 @@ int run(const Options& o) {
         rows.push(std::move(row));
       }
     }
+    if (const int rc = finish_trace(kTool, o.trace_out); rc != 0) return rc;
     if (!o.quiet) {
       std::cout << "\nlatency sweep (" << o.allocator << ", "
                 << (o.arena ? "arena" : o.engine) << ", " << o.shards
@@ -852,7 +772,7 @@ int run(const Options& o) {
         .set("engine", o.arena ? "arena" : o.engine)
         .set("workload", o.workload)
         .set("rows", std::move(rows));
-    records.push(std::move(rec));
+    artifact.add(std::move(rec));
 
     // Per-point exactness: summed per-shard cell counters == merged
     // RunStats totals, tick-for-tick.
@@ -868,7 +788,7 @@ int run(const Options& o) {
         .set("allocator", o.allocator)
         .set("engine", o.arena ? "arena" : o.engine)
         .set("rows", std::move(consistency_rows));
-    records.push(std::move(crec));
+    artifact.add(std::move(crec));
 
     if (o.overhead) {
       Options po = o;
@@ -898,51 +818,20 @@ int run(const Options& o) {
           .set("allocator", o.allocator)
           .set("engine", o.arena ? "arena" : o.engine)
           .set("rows", std::move(orows));
-      records.push(std::move(orec));
+      artifact.add(std::move(orec));
     }
 
-    if (!o.prom_out.empty()) {
-      std::ofstream prom(o.prom_out);
-      if (!prom) {
-        std::fprintf(stderr, "memreal_serve: cannot write '%s'\n",
-                     o.prom_out.c_str());
-        return 1;
-      }
-      prom << obs::MetricRegistry::global().prometheus_text();
-      std::cout << "wrote " << o.prom_out << "\n";
-    }
     if (snap_out != nullptr) std::cout << "wrote " << o.metrics_out << "\n";
-    if (o.metrics_summary) {
-      std::cout << "\nmetric summary (last wired point):\n"
-                << obs::MetricRegistry::global().summary_table();
-    }
+    // The registry holds the last wired point (or the last overhead rep).
+    const int rc = write_metrics_outputs(kTool, obs::MetricRegistry::global(),
+                                         /*metrics_out=*/"", o.prom_out,
+                                         o.metrics_summary);
+    if (rc != 0) return rc;
   }
 
-  if (!o.json_path.empty()) {
-    std::string path = o.json_path;
-    if (!o.json_path_set) {
-      const char* dir = std::getenv("MEMREAL_BENCH_DIR");
-      if (dir != nullptr && dir[0] != '\0') {
-        path = std::string(dir) + "/" + path;
-      }
-    }
-    Json doc = Json::object();
-    doc.set("bench", "serve")
-        .set("schema", std::uint64_t{2})
-        .set("git_describe", git_describe())
-        .set("fast_mode", fast);
-    Json seeds = Json::array();
-    seeds.push(o.seed);
-    doc.set("seeds", std::move(seeds));
-    doc.set("records", std::move(records));
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "memreal_serve: cannot write '%s'\n",
-                   path.c_str());
-      return 1;
-    }
-    out << doc.dump(2) << "\n";
-    std::cout << "wrote " << path << "\n";
+  if (o.json_path != "" &&
+      !artifact.write(o.json_path.value_or(artifact.default_path()))) {
+    return 1;
   }
   return verify_ok ? 0 : 1;
 }

@@ -3,8 +3,6 @@
 // violation, 2 = usage error.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -17,9 +15,6 @@
 #include "util/check.h"
 #include "util/json.h"
 #include "util/table.h"
-#include "workload/churn.h"
-#include "workload/multi_tenant.h"
-#include "workload/vm_heap.h"
 
 namespace {
 
@@ -51,18 +46,16 @@ constexpr const char* kUsage = R"(memreal_shard [options]
   --threads N        worker threads (default 0 = all cores)
   --eps X            free-space parameter (default 0.015625)
   --router P         hash | size-class | round-robin (default hash)
-  --workload W       churn | multi-tenant | skewed | vm_heap (default
-                     churn), or any scenario-zoo name (memreal_adv
-                     --list-scenarios); a zoo workload the allocator
+  --workload W       scenario-zoo name (default churn; memreal_adv
+                     --list-scenarios prints the zoo); one the allocator
                      cannot serve errors up front with the compatible
-                     list.  vm_heap is the byte-addressed GC-heap
-                     stream (grow-realloc chains, generational death,
-                     compaction bursts); pair it with --arena to
-                     exercise real payload movement
+                     list.  vm_heap is the byte-addressed GC-heap stream;
+                     pair it with --arena for real payload movement
   --updates N        churn updates in the workload (default 20000)
-  --tenants N        tenants for multi-tenant/skewed; palette size for
-                     vm_heap on fixed-palette allocators (default 8)
-  --zipf S           tenant skew exponent (default 1 / 2 for skewed)
+  --tenants N        tenants for multi_tenant_zipf; palette size on
+                     fixed-palette allocators (default 8)
+  --zipf S           tenant skew exponent for multi_tenant_zipf
+                     (default 1)
   --batch N          updates per parallel round (default 4096)
   --rebalance X      live-mass imbalance threshold, >= 1 enables the
                      between-batch rebalancer (default 0 = off)
@@ -76,6 +69,8 @@ constexpr const char* kUsage = R"(memreal_shard [options]
                      observability registry through every cell)
   --metrics-out FILE write a final metrics snapshot (JSON) to FILE
   --prom-out FILE    write a Prometheus text-format dump to FILE
+  --trace-out FILE   write the run's lifecycle spans (route, apply,
+                     validate, arena-flush) as Chrome trace JSON to FILE
   --quiet            suppress the tables (summary line + JSON only)
 
 The workload's size band comes from the allocator's registered
@@ -98,7 +93,7 @@ struct Options {
   std::string workload = "churn";
   std::size_t updates = 20'000;
   std::size_t tenants = 8;
-  double zipf = -1.0;  ///< -1 = workload default
+  double zipf = 1.0;
   std::size_t batch = 4'096;
   double rebalance = 0.0;
   std::uint64_t seed = 1;
@@ -110,6 +105,7 @@ struct Options {
   bool metrics_summary = false;
   std::string metrics_out;
   std::string prom_out;
+  std::string trace_out;
   bool quiet = false;
 
   [[nodiscard]] bool metrics_wired() const {
@@ -182,6 +178,8 @@ Options parse_args(int argc, char** argv) {
       o.metrics_out = next();
     } else if (flag == "--prom-out") {
       o.prom_out = next();
+    } else if (flag == "--trace-out") {
+      o.trace_out = next();
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
@@ -200,125 +198,27 @@ Options parse_args(int argc, char** argv) {
   if (o.eps <= 0.0 || o.eps >= 1.0) {
     usage_error(kTool, "--eps must be in (0, 1)");
   }
-  if (o.workload != "churn" && o.workload != "multi-tenant" &&
-      o.workload != "skewed" && o.workload != "vm_heap" &&
-      find_scenario(o.workload) == nullptr) {
-    std::string zoo;
-    for (const std::string& s : scenario_names()) zoo += ", " + s;
-    usage_error(kTool, "unknown workload '" + o.workload +
-                "' (known: churn, multi-tenant, skewed, vm_heap" + zoo +
-                ")");
-  }
   return o;
 }
 
-/// Builds the workload: item sizes come from the allocator's registered
-/// size band over the *shard* capacity; the live-mass budget spans all
-/// shards (global capacity = shards * shard_capacity).
+/// Builds the workload from the scenario zoo: item sizes come from the
+/// allocator's registered size band over the *shard* capacity; the
+/// live-mass budget spans all shards (global capacity = shards *
+/// shard_capacity).  An inadmissible pair is a usage error naming the
+/// compatible scenarios.
 Sequence make_workload(const Options& o, Tick shard_capacity) {
   const AllocatorInfo info = allocator_info(o.allocator);
-  const Tick global_capacity = shard_capacity * o.shards;
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  const bool legacy = o.workload == "churn" || o.workload == "multi-tenant" ||
-                      o.workload == "skewed" || o.workload == "vm_heap";
-  if (!legacy) {
-    // Scenario-zoo workload: band over the shard capacity (like the
-    // legacy paths), live-mass budget over the global capacity.
-    const std::string why =
-        scenario_incompatibility(o.workload, info, o.eps, shard_capacity);
-    if (!why.empty()) {
-      std::string compat;
-      for (const std::string& s :
-           compatible_scenarios(info, o.eps, shard_capacity)) {
-        if (!compat.empty()) compat += ", ";
-        compat += s;
-      }
-      usage_error(kTool, why + " (compatible scenarios for " + o.allocator +
-                             ": " +
-                             (compat.empty() ? "none at this eps" : compat) +
-                             ")");
-    }
-    ScenarioParams p =
-        scenario_params_for(info, o.eps, shard_capacity, o.updates, o.seed);
-    p.capacity = global_capacity;
-    p.tenants = o.tenants;
-    if (o.zipf >= 0.0) p.zipf_s = o.zipf;
-    p.bytes_per_tick = o.bytes_per_tick;
-    return make_scenario(o.workload, p);
-  }
-  if (o.workload == "vm_heap") {
-    // Byte band derived from the allocator's tick band: the smallest
-    // byte size that still rounds up to min_size ticks, up to the
-    // largest that fits in max_size ticks.
-    const Tick bpt = o.bytes_per_tick;
-    VmHeapConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.bytes_per_tick = bpt;
-    c.min_bytes = (min_size - 1) * bpt + 1;
-    c.max_bytes = max_size * bpt;
-    c.distinct_sizes = info.sizes.fixed_palette ? o.tenants : 0;
-    // The generator's default fill (0.85) is admissible for one cell but
-    // leaves no routing headroom across shards: a GC burst's refill wave
-    // can find every shard near its own budget.  Match the headroom the
-    // other workloads run with.
-    c.target_load = 0.7;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_vm_heap(c);
-  }
-  if (o.workload == "churn") {
-    if (info.sizes.fixed_palette) {
-      DiscreteChurnConfig c;
-      c.capacity = global_capacity;
-      c.eps = o.eps;
-      c.min_size = min_size;
-      c.max_size = max_size;
-      c.target_load = 0.8;
-      c.churn_updates = o.updates;
-      c.seed = o.seed;
-      return make_discrete_churn(c);
-    }
-    ChurnConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = 0.8;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_churn(c);
-  }
-  const double zipf =
-      o.zipf >= 0.0 ? o.zipf : (o.workload == "skewed" ? 2.0 : 1.0);
-  if (info.sizes.fixed_palette) {
-    // Fixed-palette allocators (DISCRETE) must see a small reused size
-    // set, not free samples; model the tenant skew as Zipf weights over
-    // a palette of `tenants` distinct sizes.
-    DiscreteChurnConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.distinct_sizes = o.tenants;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.zipf_s = zipf;
-    c.target_load = 0.8;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_discrete_churn(c);
-  }
-  MultiTenantConfig c;
-  c.capacity = global_capacity;
-  c.eps = o.eps;
-  c.tenants = o.tenants;
-  c.zipf_s = zipf;
-  c.min_size = min_size;
-  c.max_size = max_size;
-  c.target_load = 0.8;
-  c.churn_updates = o.updates;
-  c.seed = o.seed;
-  return make_multi_tenant(c);
+  const std::string rejected = scenario_rejection(
+      o.workload, info, o.eps, shard_capacity, kNoFillCeiling);
+  if (!rejected.empty()) usage_error(kTool, rejected);
+  ScenarioParams p =
+      scenario_params_for(info, o.eps, shard_capacity, o.updates, o.seed);
+  p.capacity = shard_capacity * o.shards;
+  p.tenants = o.tenants;
+  p.palette = o.tenants;
+  p.zipf_s = o.zipf;
+  p.bytes_per_tick = o.bytes_per_tick;
+  return make_scenario(o.workload, p);
 }
 
 Json results_json(const Options& o, const ShardedEngine& engine,
@@ -392,35 +292,6 @@ Json results_json(const Options& o, const ShardedEngine& engine,
   return doc;
 }
 
-/// Writes the final registry snapshot / Prometheus dump / summary table
-/// the --metrics-* flags asked for.  Shared verbatim by memreal_trace.
-int write_metrics_outputs(const char* tool, const obs::MetricRegistry& reg,
-                          const std::string& metrics_out,
-                          const std::string& prom_out, bool summary) {
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", tool,
-                   metrics_out.c_str());
-      return 1;
-    }
-    out << reg.snapshot_json().dump(2) << "\n";
-  }
-  if (!prom_out.empty()) {
-    std::ofstream out(prom_out);
-    if (!out) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", tool,
-                   prom_out.c_str());
-      return 1;
-    }
-    out << reg.prometheus_text();
-  }
-  if (summary) {
-    std::cout << "metrics summary:\n" << reg.summary_table();
-  }
-  return 0;
-}
-
 int run(const Options& o) {
   const Tick shard_capacity = Tick{1} << o.capacity_log2;
 
@@ -449,8 +320,10 @@ int run(const Options& o) {
 
   const Sequence seq = make_workload(o, shard_capacity);
   ShardedEngine engine(config);
+  start_trace(o.trace_out);
   const ShardedRunStats stats = engine.run(seq);
   engine.audit();
+  if (const int rc = finish_trace(kTool, o.trace_out); rc != 0) return rc;
 
   if (!o.quiet) {
     Table per_shard({"shard", "updates", "update_mass", "moved_mass",
@@ -492,22 +365,13 @@ int run(const Options& o) {
               << " bytes/tick)\n";
   }
 
-  if (!o.json_path.empty()) {
-    std::ofstream out(o.json_path);
-    if (!out) {
-      std::fprintf(stderr, "memreal_shard: cannot write '%s'\n",
-                   o.json_path.c_str());
-      return 1;
-    }
-    out << results_json(o, engine, seq, stats).dump(2) << "\n";
+  if (!o.json_path.empty() &&
+      !write_text(kTool, o.json_path,
+                  results_json(o, engine, seq, stats).dump(2) + "\n")) {
+    return 1;
   }
-  if (o.metrics_wired()) {
-    const int rc = write_metrics_outputs(
-        "memreal_shard", obs::MetricRegistry::global(), o.metrics_out,
-        o.prom_out, o.metrics_summary);
-    if (rc != 0) return rc;
-  }
-  return 0;
+  return write_metrics_outputs(kTool, obs::MetricRegistry::global(),
+                               o.metrics_out, o.prom_out, o.metrics_summary);
 }
 
 }  // namespace
