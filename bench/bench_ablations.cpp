@@ -248,7 +248,7 @@ void ablate_discrete_sizes(BenchJson& artifact) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   memreal::bench::BenchJson artifact("ablations");
   artifact.set_seeds({1, 2, 3, 99});
   ablate_geo_thresholds(artifact);
@@ -256,7 +256,5 @@ int main(int argc, char** argv) {
   ablate_rsum_block(artifact);
   ablate_discrete_sizes(artifact);
   artifact.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -16,8 +16,6 @@
 // COMBINED evaluations move orders of magnitude more mass per run, so a
 // full campaign takes minutes, not seconds).  Emitted to BENCH_adv.json;
 // memreal_report renders the T-ADV claim from the records.
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -107,31 +105,10 @@ void print_experiment() {
   artifact.write();
 }
 
-/// Wall clock of one small guided search (the CI smoke configuration).
-void bm_adv_search(benchmark::State& state) {
-  for (auto _ : state) {
-    AdvSearchConfig cfg;
-    cfg.allocator = "folklore-windowed";
-    cfg.seed = kSeed;
-    cfg.iterations = 60;
-    cfg.updates = 200;
-    cfg.shrink = false;
-    const AdvResult r = run_adv_search(cfg);
-    benchmark::DoNotOptimize(r.found_ratio);
-    state.counters["evals"] = static_cast<double>(r.evaluations);
-  }
-}
-
 }  // namespace
 }  // namespace memreal::bench
 
-int main(int argc, char** argv) {
+int main() {
   memreal::bench::print_experiment();
-
-  benchmark::RegisterBenchmark("BM_AdvSearch/folklore-windowed",
-                               memreal::bench::bm_adv_search);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -17,10 +17,7 @@
 //     bandwidth).
 //
 // Emitted to BENCH_arena.json; memreal_report renders the T-ARENA claim
-// from the records.  A google-benchmark section measures the vm_heap
-// arena configuration.
-#include <benchmark/benchmark.h>
-
+// from the records.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -225,37 +222,10 @@ void print_experiment() {
   artifact.write();
 }
 
-void bm_arena_vm_heap(benchmark::State& state) {
-  const bool verify = state.range(0) != 0;
-  const Sequence heap = heap_stream(2'000, 1);
-  for (auto _ : state) {
-    Cell cell(heap.capacity, heap.eps_ticks,
-              arena_config("folklore-compact", "release", verify));
-    const RunStats stats = cell.run(heap.updates);
-    benchmark::DoNotOptimize(stats.moved_bytes);
-    state.counters["bytes_per_s"] =
-        stats.wall_seconds > 0.0
-            ? static_cast<double>(stats.moved_bytes) / stats.wall_seconds
-            : 0.0;
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * heap.updates.size()));
-}
-
 }  // namespace
 }  // namespace memreal::bench
 
-int main(int argc, char** argv) {
+int main() {
   memreal::bench::print_experiment();
-
-  benchmark::RegisterBenchmark("BM_ArenaVmHeap/verify",
-                               memreal::bench::bm_arena_vm_heap)
-      ->Arg(1);
-  benchmark::RegisterBenchmark("BM_ArenaVmHeap/raw",
-                               memreal::bench::bm_arena_vm_heap)
-      ->Arg(0);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

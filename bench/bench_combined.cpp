@@ -137,23 +137,11 @@ void run_flexhash_table(BenchJson& artifact) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   memreal::bench::BenchJson artifact("combined");
   artifact.set_seeds({1, 2, 3, 7});
   run_combined_table(artifact);
   run_flexhash_table(artifact);
   artifact.write();
-  memreal::bench::register_throughput(
-      "combined_throughput/eps=1/32", "combined", 1.0 / 32,
-      [](double eps, std::uint64_t seed) {
-        memreal::MixedTinyLargeConfig c;
-        c.capacity = kCap;
-        c.eps = eps;
-        c.churn_updates = 4'000;
-        c.seed = seed;
-        return memreal::make_mixed_tiny_large(c);
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,13 +1,11 @@
 // Shared scaffolding for the experiment binaries.
 //
-// Each bench binary prints its paper-shaped experiment table(s) first (the
-// reproduction artifact recorded in EXPERIMENTS.md), then runs a small
-// google-benchmark section for wall-clock throughput of the same
-// allocators.  `MEMREAL_FAST=1` in the environment shrinks the sweeps
-// (useful for smoke runs).
+// Each bench binary takes no arguments: it prints its paper-shaped
+// experiment table(s) (the reproduction artifact recorded in
+// EXPERIMENTS.md) and writes them to its BENCH_*.json artifact.
+// `MEMREAL_FAST=1` in the environment shrinks the sweeps (useful for smoke
+// runs).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <iostream>
@@ -98,38 +96,6 @@ inline Json series_record(const std::string& kind, const std::string& claim,
   Json rec = Json::object();
   rec.set("kind", kind).set("claim", claim).set("series", series);
   return rec;
-}
-
-/// Registers a google-benchmark measuring updates/second of `allocator` on
-/// the sequence produced by `make_seq(eps, seed)`.
-inline void register_throughput(const std::string& name,
-                                const std::string& allocator, double eps,
-                                SequenceFactory make_seq,
-                                double delta = 0.0) {
-  benchmark::RegisterBenchmark(
-      name.c_str(),
-      [allocator, eps, make_seq, delta](benchmark::State& state) {
-        const Sequence seq = make_seq(eps, 1);
-        for (auto _ : state) {
-          ValidationPolicy policy;
-          policy.incremental = false;  // pure allocator throughput
-          Memory mem(seq.capacity, seq.eps_ticks, policy);
-          AllocatorParams params;
-          params.eps = eps;
-          params.delta = delta;
-          params.seed = 1;
-          auto alloc = make_allocator(allocator, mem, params);
-          Engine engine(mem, *alloc);
-          const RunStats stats = engine.run(seq.updates);
-          benchmark::DoNotOptimize(stats.moved_mass);
-          state.counters["mean_cost"] = stats.mean_cost();
-          state.counters["updates"] =
-              static_cast<double>(stats.updates);
-        }
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations() *
-                                      seq.updates.size()));
-      });
 }
 
 }  // namespace memreal::bench

@@ -79,14 +79,7 @@ void run_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  memreal::bench::register_throughput(
-      "folklore_compact_throughput/eps=1/64", "folklore-compact", 1.0 / 64,
-      [](double eps, std::uint64_t seed) {
-        return memreal::make_simple_regime(kCap, eps, 5'000, seed);
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

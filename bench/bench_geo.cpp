@@ -77,20 +77,7 @@ void run_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  memreal::bench::register_throughput(
-      "geo_throughput/eps=1/64", "geo", 1.0 / 64,
-      [](double eps, std::uint64_t seed) {
-        memreal::GeoRegimeConfig c;
-        c.capacity = kCap;
-        c.eps = eps;
-        c.band_ratio = 64;
-        c.churn_updates = 2'000;
-        c.seed = seed;
-        return memreal::make_geo_regime(c);
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

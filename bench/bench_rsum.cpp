@@ -123,19 +123,7 @@ void run_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  memreal::bench::register_throughput(
-      "rsum_throughput/eps=1/1024", "rsum", 1.0 / 1024,
-      [](double eps, std::uint64_t seed) {
-        memreal::RandomItemConfig c;
-        c.capacity = kCap;
-        c.eps = eps;
-        c.churn_pairs = 3'000;
-        c.seed = seed;
-        return memreal::make_random_item_sequence(c);
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,10 +11,10 @@
 //               acceptance bar for the subsystem: updates/sec increases
 //               from 1 thread to all cores (on multi-core hosts).
 //
-// Both sweeps are emitted to BENCH_shard.json via BenchJson, then a small
-// google-benchmark section measures the same configurations.
-#include <benchmark/benchmark.h>
-
+//   T-REL     — release vs validated engine at S = 1, 1 thread, on a
+//               denser cell: the unchecked fast path's speedup.
+//
+// All three are emitted to BENCH_shard.json via BenchJson.
 #include <algorithm>
 #include <iostream>
 #include <thread>
@@ -187,7 +187,7 @@ void print_experiment() {
                    "updates/s", "mean_cost", "imbalance"});
   double validated_rate = 0.0;
   double release_rate = 0.0;
-  for (const std::string engine : engine_names()) {
+  for (const std::string& engine : engine_names()) {
     const Point p = measure(allocator, seq1, 1, 1, engine, kRelEps);
     by_engine.add_row({engine, std::to_string(p.shards),
                        std::to_string(p.threads),
@@ -213,32 +213,10 @@ void print_experiment() {
   artifact.write();
 }
 
-void bm_sharded_churn(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const Sequence seq = shard_workload("simple", shards, 2'000, 1);
-  for (auto _ : state) {
-    ShardedEngine engine(shard_config("simple", shards, 0));
-    const ShardedRunStats stats = engine.run(seq);
-    benchmark::DoNotOptimize(stats.global.moved_mass);
-    state.counters["updates_per_s"] = stats.updates_per_second();
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * seq.updates.size()));
-}
-
 }  // namespace
 }  // namespace memreal::bench
 
-int main(int argc, char** argv) {
+int main() {
   memreal::bench::print_experiment();
-
-  benchmark::RegisterBenchmark("BM_ShardedChurn",
-                               memreal::bench::bm_sharded_churn)
-      ->Arg(1)
-      ->Arg(4)
-      ->Arg(8);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -69,14 +69,7 @@ void run_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  memreal::bench::register_throughput(
-      "simple_throughput/eps=1/256", "simple", 1.0 / 256,
-      [](double eps, std::uint64_t seed) {
-        return memreal::make_simple_regime(kCap, eps, 5'000, seed);
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -117,18 +117,7 @@ void run_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::RegisterBenchmark("mitm_m20", [](benchmark::State& state) {
-    Rng rng(99);
-    std::vector<Tick> v(20);
-    for (auto& x : v) x = rng.next_in(1'000'000, 2'000'000);
-    for (auto _ : state) {
-      auto r = subset_in_range_mitm(v, 14'000'000, 14'001'000, 10);
-      benchmark::DoNotOptimize(r);
-    }
-  });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -103,18 +103,7 @@ void run_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::RegisterBenchmark("threshold_draws", [](benchmark::State& s) {
-    Rng rng(3);
-    ContinuousThreshold t(1'000'000, rng);
-    Tick x = 0;
-    for (auto _ : s) {
-      x += t.add(12'345) ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(x);
-  });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -64,6 +64,8 @@ struct PlacedItem {
   Tick offset = 0;
   Tick size = 0;    ///< true size
   Tick extent = 0;  ///< logical (inflated) size; extent >= size
+
+  bool operator==(const PlacedItem&) const = default;
 };
 
 class LayoutStore {

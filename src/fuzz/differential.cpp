@@ -41,10 +41,7 @@ std::string compare_layouts(LayoutStore& validated, LayoutStore& other,
     return os.str();
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id == b[i].id && a[i].offset == b[i].offset &&
-        a[i].size == b[i].size && a[i].extent == b[i].extent) {
-      continue;
-    }
+    if (a[i] == b[i]) continue;
     std::ostringstream os;
     os << "layouts differ at rank " << i << ": validated {id " << a[i].id
        << " off " << a[i].offset << " size " << a[i].size << " ext "

@@ -297,7 +297,7 @@ ServeMetrics ServeMetrics::create(MetricRegistry& reg,
                                   const MetricLabels& labels) {
   ServeMetrics m;
   m.queue_depth = reg.gauge("memreal_serve_queue_depth", labels);
-  m.queue_wait_us = reg.histogram("memreal_serve_queue_wait_us", labels);
+  m.queue_wait_ns = reg.histogram("memreal_serve_queue_wait_ns", labels);
   return m;
 }
 

@@ -355,7 +355,7 @@ struct RouterMetrics {
 // ServingEngine per-shard queue instruments.
 struct ServeMetrics {
   Gauge* queue_depth = nullptr;
-  Histogram* queue_wait_us = nullptr;
+  Histogram* queue_wait_ns = nullptr;
 
   static ServeMetrics create(MetricRegistry& reg, const MetricLabels& labels);
 };

@@ -175,8 +175,8 @@ std::string render_report(const BenchSet& set,
       "bench binaries emit — do not edit by hand.  Regenerate with:\n"
       "\n"
       "```sh\n"
-      "for b in build/bench/bench_*; do MEMREAL_FAST=1 $b "
-      "--benchmark_filter='^$'; done\n"
+      "for b in build/bench/bench_*; do MEMREAL_FAST=1 \"$b\"; done\n"
+      "MEMREAL_FAST=1 ./build/tools/memreal_serve --quiet\n"
       "./build/tools/memreal_report --check\n"
       "```\n"
       "\n"

@@ -55,17 +55,17 @@ void ServingEngine::apply(std::size_t shard, Request& r, bool queued) {
                  static_cast<std::int32_t>(shard));
   }
   if (!serve_metrics_.empty() &&
-      serve_metrics_[shard].queue_wait_us != nullptr) {
-    // An inline request waited in no queue: it records a 0 us sample and
+      serve_metrics_[shard].queue_wait_ns != nullptr) {
+    // An inline request waited in no queue: it records a 0 ns sample and
     // skips the clock read, a sizeable share of a sub-microsecond apply.
-    std::uint64_t wait_us = 0;
+    std::uint64_t wait_ns = 0;
     if (queued) {
-      wait_us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
+      wait_ns = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - r.enqueue_time)
               .count());
     }
-    serve_metrics_[shard].queue_wait_us->record(wait_us);
+    serve_metrics_[shard].queue_wait_ns->record(wait_ns);
   }
   try {
     double cost;

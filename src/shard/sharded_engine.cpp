@@ -66,7 +66,7 @@ double ShardedRunStats::updates_per_second() const {
 ShardedEngine::ShardedEngine(const ShardedConfig& config)
     : config_(config),
       router_(make_router(config.router, config.shards)),
-      pool_(pool_threads(config.threads, config.shards)) {
+      threads_(pool_threads(config.threads, config.shards)) {
   MEMREAL_CHECK_MSG(config.shards >= 1, "need at least one shard");
   MEMREAL_CHECK_MSG(
       config.rebalance_threshold == 0.0 || config.rebalance_threshold >= 1.0,
@@ -169,14 +169,15 @@ void ShardedEngine::route_batch(std::span<const Update> batch) {
 }
 
 void ShardedEngine::apply_batch() {
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
   for (std::size_t s = 0; s < cells_.size(); ++s) {
     if (pending_[s].empty()) continue;
-    pool_.submit([this, s] {
+    pool_->submit([this, s] {
       cells_[s]->run(
           std::span<const Update>(pending_[s].data(), pending_[s].size()));
     });
   }
-  pool_.wait();
+  pool_->wait();
   for (auto& p : pending_) p.clear();
 }
 

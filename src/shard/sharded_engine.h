@@ -156,9 +156,8 @@ class ShardedEngine {
   [[nodiscard]] Cell& cell(std::size_t shard) { return *cells_.at(shard); }
 
   [[nodiscard]] std::size_t shard_count() const { return cells_.size(); }
-  [[nodiscard]] std::size_t thread_count() const {
-    return pool_.thread_count();
-  }
+  /// The configured batch-pool size, whether or not run() has started it.
+  [[nodiscard]] std::size_t thread_count() const { return threads_; }
   /// Which shard a live item is placed on; throws for absent ids.
   [[nodiscard]] std::size_t shard_of(ItemId id) const;
   /// Non-throwing variant: nullopt when the item is not live.
@@ -181,7 +180,10 @@ class ShardedEngine {
   Tick shard_budget_ = 0;  ///< per-shard capacity - eps_ticks
   std::unique_ptr<Router> router_;
   std::vector<std::unique_ptr<Cell>> cells_;
-  ThreadPool pool_;
+  std::size_t threads_;
+  /// The batch path's workers, started by the first run(): the serving
+  /// layer drives the cells itself and never needs them.
+  std::unique_ptr<ThreadPool> pool_;
 
   /// id -> shard for every live item (routing map; deletes and migrations
   /// follow it).

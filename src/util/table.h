@@ -1,10 +1,9 @@
 // Minimal fixed-width table renderer for the experiment binaries.
 //
 // Every bench binary prints the paper-shaped series as a plain-text table
-// (rows = sweep points, columns = metrics) before handing off to
-// google-benchmark for the timing section.  Keeping the renderer here means
-// EXPERIMENTS.md, the benches and the examples all produce identical
-// formatting.
+// (rows = sweep points, columns = metrics) next to its BENCH_*.json
+// artifact.  Keeping the renderer here means EXPERIMENTS.md, the benches
+// and the examples all produce identical formatting.
 #pragma once
 
 #include <iosfwd>

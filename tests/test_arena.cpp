@@ -209,17 +209,7 @@ TEST(ArenaStore, MovedBytesChannelReachesRunStats) {
 
 // -- The tick-vs-byte differential over every registry allocator -------------
 
-void expect_same_layout(LayoutStore& plain, LayoutStore& arena,
-                        const std::string& where) {
-  const std::vector<PlacedItem> a = plain.snapshot();
-  const std::vector<PlacedItem> b = arena.snapshot();
-  ASSERT_EQ(a.size(), b.size()) << where;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].id == b[i].id && a[i].offset == b[i].offset &&
-                a[i].size == b[i].size && a[i].extent == b[i].extent)
-        << where << " item " << i;
-  }
-}
+using testing::expect_same_layout;
 
 void expect_byte_bound(const ArenaStore& store, const std::string& where) {
   const Tick bpt = store.bytes_per_tick();

@@ -85,17 +85,7 @@ Sequence obs_churn(std::size_t shards, std::size_t updates,
   return make_churn(c);
 }
 
-void expect_same_layout(const LayoutStore& a, const LayoutStore& b) {
-  const auto la = a.snapshot();
-  const auto lb = b.snapshot();
-  ASSERT_EQ(la.size(), lb.size());
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    EXPECT_EQ(la[i].id, lb[i].id);
-    EXPECT_EQ(la[i].offset, lb[i].offset);
-    EXPECT_EQ(la[i].size, lb[i].size);
-    EXPECT_EQ(la[i].extent, lb[i].extent);
-  }
-}
+using testing::expect_same_layout;
 
 ShardedConfig obs_config(MetricRegistry* reg, const std::string& engine,
                          std::size_t shards, bool arena = false) {
@@ -510,7 +500,7 @@ TEST(ObsWiring, ServeQueueMetricsCoverEveryRequest) {
       l.engine = "validated";
       l.shard = static_cast<int>(s);
       l.workload = "churn";
-      waits += reg.histogram("memreal_serve_queue_wait_us", l)->count();
+      waits += reg.histogram("memreal_serve_queue_wait_ns", l)->count();
       high_water = std::max(high_water, engine.queue_high_water(s));
     }
     engine.stop();

@@ -44,18 +44,7 @@ namespace {
 
 constexpr Tick kCap = Tick{1} << 50;
 
-void expect_same_layout(LayoutStore& validated, LayoutStore& release,
-                        const std::string& where) {
-  const std::vector<PlacedItem> a = validated.snapshot();
-  const std::vector<PlacedItem> b = release.snapshot();
-  ASSERT_EQ(a.size(), b.size()) << where;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << where << " item " << i;
-    EXPECT_EQ(a[i].offset, b[i].offset) << where << " item " << i;
-    EXPECT_EQ(a[i].size, b[i].size) << where << " item " << i;
-    EXPECT_EQ(a[i].extent, b[i].extent) << where << " item " << i;
-  }
-}
+using testing::expect_same_layout;
 
 void expect_same_stats(RunStats validated, RunStats release) {
   EXPECT_EQ(validated.updates, release.updates);

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -49,17 +51,7 @@ ShardedConfig serve_config(const std::string& allocator,
   return c;
 }
 
-void expect_same_layout(const LayoutStore& a, const LayoutStore& b) {
-  const auto la = a.snapshot();
-  const auto lb = b.snapshot();
-  ASSERT_EQ(la.size(), lb.size());
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    EXPECT_EQ(la[i].id, lb[i].id);
-    EXPECT_EQ(la[i].offset, lb[i].offset);
-    EXPECT_EQ(la[i].size, lb[i].size);
-    EXPECT_EQ(la[i].extent, lb[i].extent);
-  }
-}
+using testing::expect_same_layout;
 
 // -- MPSC queue -------------------------------------------------------------
 
@@ -584,6 +576,34 @@ TEST(ServingEngine, StopIsIdempotentAndDrainOnIdleReturns) {
   serve.drain();  // nothing in flight
   serve.stop();
   serve.stop();
+}
+
+/// Threads of this process right now: one /proc/self/task entry each.
+std::size_t live_threads() {
+  using std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(std::distance(
+      directory_iterator("/proc/self/task"), directory_iterator{}));
+}
+
+TEST(ServingEngine, EachShardAddsExactlyOneThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  // The first thread a process creates can also start a runtime helper
+  // thread (ThreadSanitizer's); a warm-up engine keeps it out of the
+  // measured delta.
+  ServingEngine warm_up(serve_config("simple", "release", 1));
+  constexpr std::size_t kShards = 4;
+  ShardedConfig config = serve_config("simple", "release", kShards);
+  config.threads = 2;
+  const std::size_t before = live_threads();
+  ServingEngine serve(config);
+  // One worker per shard; the batch engine's pool is never started, yet
+  // still reports its configured size.
+  EXPECT_EQ(live_threads() - before, kShards);
+  EXPECT_EQ(serve.sharded().thread_count(), 2u);
+  serve.stop();
+  warm_up.stop();
 }
 
 }  // namespace

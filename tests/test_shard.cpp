@@ -67,21 +67,7 @@ ShardedConfig shard_config(const std::string& allocator, std::size_t shards,
   return c;
 }
 
-std::vector<PlacedItem> layout_of(const LayoutStore& mem) {
-  return mem.snapshot();
-}
-
-void expect_same_layout(const LayoutStore& a, const LayoutStore& b) {
-  const auto la = layout_of(a);
-  const auto lb = layout_of(b);
-  ASSERT_EQ(la.size(), lb.size());
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    EXPECT_EQ(la[i].id, lb[i].id);
-    EXPECT_EQ(la[i].offset, lb[i].offset);
-    EXPECT_EQ(la[i].size, lb[i].size);
-    EXPECT_EQ(la[i].extent, lb[i].extent);
-  }
-}
+using testing::expect_same_layout;
 
 // -- Router policies --------------------------------------------------------
 

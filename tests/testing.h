@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "alloc/registry.h"
 #include "core/engine.h"
@@ -17,6 +19,16 @@
 #include "workload/churn.h"
 #include "workload/random_item.h"
 #include "workload/sequence.h"
+
+namespace memreal {
+
+/// gtest's printer for a mismatched layout entry.
+inline void PrintTo(const PlacedItem& item, std::ostream* os) {
+  *os << "{id " << item.id << ", offset " << item.offset << ", size "
+      << item.size << ", extent " << item.extent << "}";
+}
+
+}  // namespace memreal
 
 namespace memreal::testing {
 
@@ -43,6 +55,19 @@ inline Memory strict_memory(Tick capacity, double eps) {
   policy.audit_every_n_updates = 1;
   // Eps::of, not a raw cast: it clamps tiny eps to >= 1 tick.
   return Memory(capacity, Eps::of(eps, capacity).ticks, policy);
+}
+
+/// Expects `a` and `b` to hold the same layout: item for item in offset
+/// order, equal id, offset, size and extent.  Stops at the first
+/// mismatch; `where` labels the failure.
+inline void expect_same_layout(const LayoutStore& a, const LayoutStore& b,
+                               const std::string& where = "") {
+  const std::vector<PlacedItem> la = a.snapshot();
+  const std::vector<PlacedItem> lb = b.snapshot();
+  ASSERT_EQ(la.size(), lb.size()) << where;
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    ASSERT_EQ(la[i], lb[i]) << where << " item " << i;
+  }
 }
 
 /// Runs `allocator_name` over `seq` with full validation and per-update

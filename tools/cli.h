@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -70,17 +71,23 @@ inline double parse_double(const Tool& tool, const std::string& flag,
   return v;
 }
 
-/// Splits "a,b,c"; empty elements are dropped.
-inline std::vector<std::string> split_csv(const std::string& csv) {
+/// Splits the list "a,b,c" given to `flag`.  An empty element ("a,,b",
+/// a leading or trailing comma, or an empty list) is a usage error naming
+/// the whole list, never silently dropped.
+inline std::vector<std::string> split_csv(const Tool& tool,
+                                          const std::string& flag,
+                                          const char* value) {
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  std::string cur;
+  for (const char* p = value;; ++p) {
+    if (*p == ',' || *p == '\0') {
+      if (cur.empty()) bad_value(tool, flag, value);
+      out.push_back(std::move(cur));
+      cur.clear();
+      if (*p == '\0') break;
+    } else {
+      cur.push_back(*p);
+    }
   }
   return out;
 }

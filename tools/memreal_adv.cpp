@@ -151,9 +151,9 @@ int main(int argc, char** argv) {
       cfg.base.updates =
           static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--allocators") {
-      cfg.allocators = split_csv(value());
+      cfg.allocators = split_csv(kTool, flag, value());
     } else if (flag == "--scenarios") {
-      cfg.base.scenarios = split_csv(value());
+      cfg.base.scenarios = split_csv(kTool, flag, value());
     } else if (flag == "--engine") {
       cfg.base.engine = value();
       if (cfg.base.engine != "release" && cfg.base.engine != "validated") {

@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       cfg.mutants_per_sequence =
           static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--allocators") {
-      cfg.allocators = split_csv(value());
+      cfg.allocators = split_csv(kTool, flag, value());
     } else if (flag == "--scenario") {
       cfg.scenario = value();
     } else if (flag == "--engine") {

@@ -120,23 +120,6 @@ struct Options {
   bool quiet = false;
 };
 
-std::vector<std::string> split_list(const std::string& flag,
-                                    const char* value) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = value;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (cur.empty()) usage_error(kTool, "empty element in " + flag + " list");
-      out.push_back(cur);
-      cur.clear();
-      if (*p == '\0') break;
-    } else {
-      cur.push_back(*p);
-    }
-  }
-  return out;
-}
-
 Options parse_args(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -163,13 +146,13 @@ Options parse_args(int argc, char** argv) {
       o.shards = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--clients") {
       o.clients.clear();
-      for (const std::string& e : split_list(flag, next())) {
+      for (const std::string& e : split_csv(kTool, flag, next())) {
         o.clients.push_back(
             static_cast<std::size_t>(parse_u64(kTool, flag, e.c_str())));
       }
     } else if (flag == "--qps") {
       o.qps.clear();
-      for (const std::string& e : split_list(flag, next())) {
+      for (const std::string& e : split_csv(kTool, flag, next())) {
         o.qps.push_back(parse_double(kTool, flag, e.c_str()));
       }
     } else if (flag == "--workload") {
@@ -567,19 +550,6 @@ struct VerifyResult {
   bool layouts_equal = false;
 };
 
-bool same_layout(LayoutStore& a, LayoutStore& b) {
-  const auto la = a.snapshot();
-  const auto lb = b.snapshot();
-  if (la.size() != lb.size()) return false;
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    if (la[i].id != lb[i].id || la[i].offset != lb[i].offset ||
-        la[i].size != lb[i].size || la[i].extent != lb[i].extent) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool same_stats(const ShardedRunStats& a, const ShardedRunStats& b) {
   if (a.global.updates != b.global.updates ||
       a.global.moved_mass != b.global.moved_mass ||
@@ -638,7 +608,7 @@ VerifyResult verify_pair(const Options& o, const std::string& allocator,
   r.layouts_equal = true;
   for (std::size_t s = 0; s < batch.shard_count(); ++s) {
     r.layouts_equal &=
-        same_layout(batch.memory(s), serve.sharded().memory(s));
+        batch.memory(s).snapshot() == serve.sharded().memory(s).snapshot();
   }
   serve.stop();
   return r;
