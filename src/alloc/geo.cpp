@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "util/check.h"
@@ -93,7 +94,7 @@ GeoAllocator::GeoAllocator(LayoutStore& mem, const GeoConfig& config)
     }
   }
 
-  class_items_.assign(classes, ClassSet{});
+  class_items_.assign(classes, {});
   waste_thr_ = rng_.next_tick_in(eps_t_ / 2, eps_t_);
 }
 
@@ -115,6 +116,43 @@ std::size_t GeoAllocator::class_of_size(Tick size) const {
   return idx;
 }
 
+std::uint32_t GeoAllocator::bind_handle(ItemId id) {
+  const std::uint32_t h = free_handles_.empty()
+                              ? static_cast<std::uint32_t>(label_.size())
+                              : free_handles_.back();
+  MEMREAL_CHECK_MSG(handle_.insert(id, h), "duplicate id " << id);
+  if (h == label_.size()) {
+    label_.push_back(0);
+    cls_.push_back(0);
+    pos_.push_back(0);
+  } else {
+    free_handles_.pop_back();
+  }
+  return h;
+}
+
+void GeoAllocator::bucket_insert(std::size_t cls, Tick size, ItemId id,
+                                 std::uint32_t h) {
+  auto& bucket = class_items_[cls];
+  const ClassEntry e{size, id, h};
+  bucket.insert(std::upper_bound(bucket.begin(), bucket.end(), e), e);
+}
+
+void GeoAllocator::bucket_erase(std::size_t cls, Tick size, ItemId id) {
+  auto& bucket = class_items_[cls];
+  const auto it =
+      std::lower_bound(bucket.begin(), bucket.end(), ClassEntry{size, id, 0});
+  MEMREAL_CHECK_MSG(it != bucket.end() && it->id == id && it->size == size,
+                    "item " << id << " missing from its class bucket");
+  bucket.erase(it);
+}
+
+void GeoAllocator::order_erase(std::size_t k) {
+  const auto at = static_cast<std::ptrdiff_t>(k);
+  order_.erase(order_.begin() + at);
+  order_h_.erase(order_h_.begin() + at);
+}
+
 void GeoAllocator::place_run(std::size_t from) {
   const Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
   mem_->apply_run(std::span<const ItemId>(order_).subspan(from), off);
@@ -123,7 +161,7 @@ void GeoAllocator::place_run(std::size_t from) {
 void GeoAllocator::apply_layout(std::size_t from) {
   place_run(from);
   for (std::size_t k = from; k < order_.size(); ++k) {
-    info_of(order_[k]).pos = k;
+    pos_[order_h_[k]] = k;
   }
 }
 
@@ -134,7 +172,7 @@ std::size_t GeoAllocator::suffix_start_for_label(int label) const {
   std::size_t hi = order_.size();
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    if (info_.at(order_[mid]).label < label) {
+    if (label_[order_h_[mid]] < label) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -167,27 +205,29 @@ void GeoAllocator::rebuild_level(int j0) {
   // in the suffix that is not selected falls back to label j0-1.
   new_label_.assign(len, base);
   for (std::size_t i = 0; i < class_lo_.size(); ++i) {
-    const ClassSet& set = class_items_[i];
-    const std::uint64_t take = c_[i][static_cast<std::size_t>(j0)];
+    const std::vector<ClassEntry>& bucket = class_items_[i];
+    const std::vector<std::uint64_t>& ci = c_[i];
+    const std::uint64_t take = ci[static_cast<std::size_t>(j0)];
     std::uint64_t rank = 0;
-    auto it = set.begin();
-    while (it != set.end() && rank < take) {
+    // Label cursor: the deepest j in [j0, j*_i] with rank < c_{i,j}, or
+    // j0-1 once none is left.  c_{i,j} is non-increasing in j and rank
+    // only grows, so the cursor only moves shallower.
+    int lbl = std::max(jstar_[i], base);
+    std::size_t k = 0;
+    while (k < bucket.size() && rank < take) {
       // One run of equal logical size: rank its suffix members now; any
       // outsider ranks after them and so must not be reached.
-      const Tick size = it->first;
+      const Tick size = bucket[k].size;
       bool outsider = false;
-      for (; it != set.end() && it->first == size && rank < take; ++it) {
-        const std::size_t pos = info_.at(it->second).pos;
+      for (; k < bucket.size() && bucket[k].size == size && rank < take;
+           ++k) {
+        const std::size_t pos = pos_[bucket[k].h];
         if (pos < ss) {
           outsider = true;
           continue;
         }
-        int lbl = base;
-        for (int j = jstar_[i]; j >= j0; --j) {
-          if (rank < c_[i][static_cast<std::size_t>(j)]) {
-            lbl = j;
-            break;
-          }
+        while (lbl >= j0 && rank >= ci[static_cast<std::size_t>(lbl)]) {
+          --lbl;
         }
         new_label_[pos - ss] = lbl;
         ++rank;
@@ -206,18 +246,20 @@ void GeoAllocator::rebuild_level(int j0) {
     label_start_[b] += label_start_[b - 1];
   }
   sorted_.resize(len);
+  sorted_h_.resize(len);
   for (std::size_t k = 0; k < len; ++k) {
-    const ItemId id = order_[ss + k];
+    const std::uint32_t h = order_h_[ss + k];
     const int lbl = new_label_[k];
     const std::size_t dst =
         label_start_[static_cast<std::size_t>(lbl - base)]++;
-    sorted_[dst] = id;
-    Info& inf = info_of(id);
-    inf.label = lbl;
-    inf.pos = ss + dst;
+    sorted_[dst] = order_[ss + k];
+    sorted_h_[dst] = h;
+    label_[h] = lbl;
+    pos_[h] = ss + dst;
   }
-  std::copy(sorted_.begin(), sorted_.end(),
-            order_.begin() + static_cast<std::ptrdiff_t>(ss));
+  const auto at = static_cast<std::ptrdiff_t>(ss);
+  std::copy(sorted_.begin(), sorted_.end(), order_.begin() + at);
+  std::copy(sorted_h_.begin(), sorted_h_.end(), order_h_.begin() + at);
   place_run(ss);
 }
 
@@ -261,10 +303,10 @@ void GeoAllocator::waste_recovery() {
     const Tick ext = mem_->extent_of(id);
     const Tick sz = mem_->size_of(id);
     if (ext != sz) {
-      auto& set = class_items_[info_.at(id).cls];
-      set.erase({ext, id});
+      const std::uint32_t h = order_h_[k];
+      bucket_erase(cls_[h], ext, id);
       mem_->reset_extent(id);
-      set.insert({sz, id});
+      bucket_insert(cls_[h], sz, id, h);
     }
   }
   apply_layout(0);
@@ -274,13 +316,16 @@ void GeoAllocator::waste_recovery() {
 }
 
 void GeoAllocator::insert(ItemId id, Tick size) {
-  MEMREAL_CHECK_MSG(!info_.contains(id), "duplicate id " << id);
+  const std::uint32_t h = bind_handle(id);
   if (size >= huge_thr_) {
     // Huge item: append to the huge prefix; everything after shifts right.
     // Cost <= L / size <= O(eps^-1/2).
-    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(huge_count_),
-                  id);
-    info_[id] = Info{-1, 0, huge_count_};
+    const auto at = static_cast<std::ptrdiff_t>(huge_count_);
+    order_.insert(order_.begin() + at, id);
+    order_h_.insert(order_h_.begin() + at, h);
+    label_[h] = -1;
+    cls_[h] = 0;
+    pos_[h] = huge_count_;
     const Tick off =
         huge_count_ == 0 ? 0 : mem_->end_of(order_[huge_count_ - 1]);
     mem_->place(id, off, size);
@@ -293,86 +338,88 @@ void GeoAllocator::insert(ItemId id, Tick size) {
   // Place immediately after the final item (Algorithm 3), label ell.
   const Tick off = order_.empty() ? 0 : mem_->end_of(order_.back());
   mem_->place(id, off, size);
-  info_[id] = Info{ell_, cls, order_.size()};
+  label_[h] = ell_;
+  cls_[h] = cls;
+  pos_[h] = order_.size();
   order_.push_back(id);
-  class_items_[cls].insert({size, id});
+  order_h_.push_back(h);
+  bucket_insert(cls, size, id, h);
 
   bump_counters_and_rebuild(cls, /*is_insert=*/true);
 }
 
 void GeoAllocator::erase(ItemId id) {
-  // A copy: FlatIdMap erase and growth move entries.
-  const Info* found = info_.find(id);
-  MEMREAL_CHECK_MSG(found != nullptr, "erase of unknown item " << id);
-  const Info inf = *found;
+  const std::optional<std::uint32_t> taken = handle_.take(id);
+  MEMREAL_CHECK_MSG(taken.has_value(), "erase of unknown item " << id);
+  const std::uint32_t h = *taken;
+  free_handles_.push_back(h);
+  const int label = label_[h];
+  const std::size_t pos = pos_[h];
 
-  if (inf.label < 0) {
+  if (label < 0) {
     // Huge delete: remove and close the hole (compacts huge prefix and
     // shifts the rest left).  Cost <= L / size <= O(eps^-1/2).
     mem_->remove(id);
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    info_.erase(id);
+    order_erase(pos);
     --huge_count_;
-    apply_layout(inf.pos);
+    apply_layout(pos);
     return;
   }
 
-  const std::size_t cls = inf.cls;
+  const std::size_t cls = cls_[h];
   const int js = jstar_[cls];
   bool swapped = false;
   Tick swap_waste = 0;
   std::size_t hole_pos;
 
-  if (inf.label < js) {
+  if (label < js) {
     // Swap in the smallest class item I' (Algorithm 4 lines 5-8); the
     // invariants guarantee one of minimum logical size lives in level j*
     // (ties are resolved toward the deep copy).
-    auto& set = class_items_[cls];
-    MEMREAL_CHECK(!set.empty());
-    auto first = set.begin();
-    const Tick min_size = first->first;
-    ItemId other = kNoItem;
-    for (auto sit = first; sit != set.end() && sit->first == min_size;
-         ++sit) {
-      if (sit->second == id) continue;
-      if (info_.at(sit->second).label >= js) {
-        other = sit->second;
+    const std::vector<ClassEntry>& bucket = class_items_[cls];
+    MEMREAL_CHECK(!bucket.empty());
+    const Tick min_size = bucket.front().size;
+    const ClassEntry* other = nullptr;
+    for (const ClassEntry& e : bucket) {
+      if (e.size != min_size) break;
+      if (e.id != id && label_[e.h] >= js) {
+        other = &e;
         break;
       }
     }
-    MEMREAL_CHECK_MSG(other != kNoItem,
+    MEMREAL_CHECK_MSG(other != nullptr,
                       "invariant violated: no class minimum in level j*");
     const Tick my_extent = mem_->extent_of(id);
-    MEMREAL_CHECK_MSG(mem_->extent_of(other) <= my_extent,
+    MEMREAL_CHECK_MSG(other->size <= my_extent,
                       "swap candidate larger than deleted item");
+    const ItemId oid = other->id;
+    const std::uint32_t oh = other->h;
+    const Tick other_extent = other->size;
 
-    const std::size_t p = inf.pos;
-    const std::size_t q = info_.at(other).pos;
-    MEMREAL_CHECK(q > p);
+    const std::size_t q = pos_[oh];
+    MEMREAL_CHECK(q > pos);
     const Tick slot = mem_->offset_of(id);
     mem_->remove(id);
-    info_.erase(id);
-    set.erase({my_extent, id});           // the deleted item leaves its class
-    set.erase({mem_->extent_of(other), other});  // I' re-keyed below
-    set.insert({my_extent, other});
-    mem_->move_to(other, slot);
-    mem_->set_extent(other, my_extent);
-    Info& oinf = info_of(other);
-    oinf.label = inf.label;  // I' inherits I's level
-    oinf.pos = p;
-    order_[p] = other;
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(q));
+    bucket_erase(cls, my_extent, id);  // the deleted item leaves its class
+    bucket_erase(cls, other_extent, oid);  // I' re-keyed below
+    bucket_insert(cls, my_extent, oid, oh);
+    mem_->move_to(oid, slot);
+    mem_->set_extent(oid, my_extent);
+    label_[oh] = label;  // I' inherits I's level and slot
+    pos_[oh] = pos;
+    order_[pos] = oid;
+    order_h_[pos] = oh;
+    order_erase(q);
     hole_pos = q;
     swapped = true;
     // Waste bound: class width (exact intra-class extent difference).
     swap_waste = class_hi_[cls] - class_lo_[cls];
   } else {
     // Delete inside level j*: just remove.
-    class_items_[cls].erase({mem_->extent_of(id), id});
+    bucket_erase(cls, mem_->extent_of(id), id);
     mem_->remove(id);
-    hole_pos = inf.pos;
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    info_.erase(id);
+    hole_pos = pos;
+    order_erase(pos);
     swapped = false;
   }
   // Compact level j* (and anything to its right) — closes the hole.
@@ -390,9 +437,12 @@ void GeoAllocator::erase(ItemId id) {
 }
 
 void GeoAllocator::check_invariants() const {
-  MEMREAL_CHECK(order_.size() == info_.size());
-  // Layout: contiguous extents, labels ascending, pos correct.  The same
-  // pass totals the inflation waste and the per-(class, label) counts.
+  MEMREAL_CHECK(order_.size() == handle_.size());
+  MEMREAL_CHECK(order_h_.size() == order_.size());
+  MEMREAL_CHECK(order_.size() + free_handles_.size() == label_.size());
+  // Layout: contiguous extents, labels ascending, handles and positions
+  // consistent.  The same pass totals the inflation waste and the
+  // per-(class, label) counts.
   const std::size_t classes = class_lo_.size();
   std::vector<std::vector<std::uint64_t>> cnt(
       classes,
@@ -402,15 +452,19 @@ void GeoAllocator::check_invariants() const {
   int prev_label = -1;
   for (std::size_t k = 0; k < order_.size(); ++k) {
     const ItemId id = order_[k];
-    const Info& inf = info_.at(id);
+    const std::uint32_t h = order_h_[k];
+    MEMREAL_CHECK_MSG(h < label_.size() && handle_.at(id) == h,
+                      "handle map disagrees with order");
     MEMREAL_CHECK_MSG(mem_->offset_of(id) == off, "layout not contiguous");
-    MEMREAL_CHECK(inf.pos == k);
-    MEMREAL_CHECK_MSG(inf.label >= prev_label, "labels out of order");
-    prev_label = inf.label;
+    MEMREAL_CHECK(pos_[h] == k);
+    MEMREAL_CHECK_MSG(label_[h] >= prev_label, "labels out of order");
+    MEMREAL_CHECK_MSG((label_[h] < 0) == (k < huge_count_),
+                      "huge prefix mislabelled");
+    prev_label = label_[h];
     off += mem_->extent_of(id);
     waste += mem_->extent_of(id) - mem_->size_of(id);
-    if (inf.label >= 0) {
-      cnt[inf.cls][static_cast<std::size_t>(inf.label)] += 1;
+    if (label_[h] >= 0) {
+      cnt[cls_[h]][static_cast<std::size_t>(label_[h])] += 1;
     }
   }
   // Waste: total inflation across GEO's own items stays below eps.  (Under
@@ -428,27 +482,37 @@ void GeoAllocator::check_invariants() const {
                                                   << " has " << suffix);
     }
   }
+  // Class buckets: strictly (size, id)-sorted, keyed by current logical
+  // size, and holding exactly the non-huge items through their handles.
+  std::size_t bucketed = 0;
+  for (std::size_t i = 0; i < classes; ++i) {
+    const std::vector<ClassEntry>& bucket = class_items_[i];
+    bucketed += bucket.size();
+    for (std::size_t k = 0; k < bucket.size(); ++k) {
+      const ClassEntry& e = bucket[k];
+      MEMREAL_CHECK(k == 0 || bucket[k - 1] < e);
+      MEMREAL_CHECK(mem_->extent_of(e.id) == e.size);
+      MEMREAL_CHECK(e.h < label_.size() && pos_[e.h] < order_.size());
+      MEMREAL_CHECK(cls_[e.h] == i && label_[e.h] >= 0);
+      MEMREAL_CHECK(order_h_[pos_[e.h]] == e.h && order_[pos_[e.h]] == e.id);
+    }
+  }
+  MEMREAL_CHECK(bucketed == order_.size() - huge_count_);
   // Some item of minimum logical size of every inhabited class sits in
   // level j* (needed for deletions to be well-defined; ties may leave
   // equal-size copies in shallower levels).
   for (std::size_t i = 0; i < classes; ++i) {
-    if (class_items_[i].empty()) continue;
-    const Tick min_size = class_items_[i].begin()->first;
+    const std::vector<ClassEntry>& bucket = class_items_[i];
+    if (bucket.empty()) continue;
     bool deep = false;
-    for (auto it = class_items_[i].begin();
-         it != class_items_[i].end() && it->first == min_size; ++it) {
-      if (info_.at(it->second).label >= jstar_[i]) {
+    for (const ClassEntry& e : bucket) {
+      if (e.size != bucket.front().size) break;
+      if (label_[e.h] >= jstar_[i]) {
         deep = true;
         break;
       }
     }
     MEMREAL_CHECK_MSG(deep, "class minimum escaped level j*");
-  }
-  // Class sets keyed by current logical size.
-  for (std::size_t i = 0; i < classes; ++i) {
-    for (const auto& [key, id] : class_items_[i]) {
-      MEMREAL_CHECK(mem_->extent_of(id) == key);
-    }
   }
 }
 

@@ -29,16 +29,21 @@
 // extents, left-aligned at 0.  An item's label is the deepest level that
 // contains it; level j = all items with label >= j.
 //
-// Bookkeeping is flat: per-item state lives in an open-addressed FlatIdMap,
-// a level rebuild computes its new labels into a position-indexed scratch
-// vector and regroups the suffix with a stable counting sort over labels
-// (member buffers, no allocation per rebuild), and every relayout is one
-// LayoutStore::apply_run batch.  A rebuild of an m-item suffix costs one
-// id probe per candidate and per suffix item, plus the store's run.
+// Bookkeeping is flat, and a level rebuild does no hash probe and no
+// tree-node hop.  Every live item holds a dense GEO-local handle (recycled
+// through a free list); its label, class and order_ position live in
+// handle-indexed arrays, and order_ carries a parallel handle array.  The
+// id -> handle FlatIdMap is probed once per insert and once per erase.
+// Each class keeps a sorted vector bucket of {logical size, id, handle} in
+// (size, id) order.  A level rebuild walks the buckets reading positions
+// through handles, picks each label with a cursor over c_{i,.} that only
+// moves shallower (c is non-increasing in j and rank only grows), regroups
+// the suffix with a stable counting sort over labels (member buffers, no
+// allocation per rebuild), and relays it out as one LayoutStore::apply_run
+// batch.
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "core/allocator.h"
@@ -83,21 +88,24 @@ class GeoAllocator final : public Allocator {
   [[nodiscard]] std::size_t level_item_count(int j) const;
 
  private:
-  struct Info {
-    int label = 0;  ///< -1 = huge; 0..ell = deepest level containing item
-    std::size_t cls = 0;   ///< size class (valid when label >= 0)
-    std::size_t pos = 0;   ///< index in order_
+  /// One member of a class bucket; buckets are sorted by (size, id).
+  struct ClassEntry {
+    Tick size;  ///< logical size (extent)
+    ItemId id;
+    std::uint32_t h;  ///< the item's handle
+
+    bool operator<(const ClassEntry& o) const {
+      return size != o.size ? size < o.size : id < o.id;
+    }
   };
 
-  using ClassSet = std::set<std::pair<Tick, ItemId>>;  ///< by logical size
-
-  /// Mutable bookkeeping of a live item.  The reference is invalidated by
-  /// the next info_ insert or erase (FlatIdMap moves entries).
-  Info& info_of(ItemId id) {
-    Info* inf = info_.find(id);
-    MEMREAL_CHECK_MSG(inf != nullptr, "unknown item id " << id);
-    return *inf;
-  }
+  /// Binds `id` to a fresh or recycled handle (one map probe); throws on a
+  /// duplicate id without changing any state.
+  std::uint32_t bind_handle(ItemId id);
+  void bucket_insert(std::size_t cls, Tick size, ItemId id, std::uint32_t h);
+  void bucket_erase(std::size_t cls, Tick size, ItemId id);
+  /// Drops order_[k] and its handle (positions after k go stale).
+  void order_erase(std::size_t k);
 
   /// Lays order_[from..] out contiguously after order_[from - 1] and
   /// refreshes their positions.
@@ -131,8 +139,14 @@ class GeoAllocator final : public Allocator {
   std::vector<std::vector<std::uint64_t>> ins_thr_, del_thr_;
 
   std::vector<ItemId> order_;  ///< sorted: huge first, then by label asc
-  FlatIdMap<Info> info_;
-  std::vector<ClassSet> class_items_;
+  std::vector<std::uint32_t> order_h_;  ///< order_'s handles, same indices
+  FlatIdMap<std::uint32_t> handle_;     ///< id -> handle of a live item
+  std::vector<std::uint32_t> free_handles_;
+  // Per-handle state; entries of freed handles are stale until reused.
+  std::vector<int> label_;  ///< -1 = huge; 0..ell = deepest level
+  std::vector<std::size_t> cls_;  ///< size class (valid when label >= 0)
+  std::vector<std::size_t> pos_;  ///< index in order_
+  std::vector<std::vector<ClassEntry>> class_items_;
   std::size_t huge_count_ = 0;
 
   Tick waste_acc_ = 0;
@@ -144,6 +158,7 @@ class GeoAllocator final : public Allocator {
   std::vector<int> new_label_;            ///< by suffix position
   std::vector<std::size_t> label_start_;  ///< counting-sort bucket starts
   std::vector<ItemId> sorted_;            ///< the regrouped suffix
+  std::vector<std::uint32_t> sorted_h_;   ///< its handles
 };
 
 }  // namespace memreal

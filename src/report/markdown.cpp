@@ -106,7 +106,9 @@ std::string record_section(const Json& rec) {
   const Json* series = rec.find("series");
   const Json* allocator = rec.find("allocator");
   const Json* workload = rec.find("workload");
-  out += "**" + (series != nullptr ? series->as_string() : "?") + "**";
+  out.append("**")
+      .append(series != nullptr ? series->as_string() : "?")
+      .append("**");
   if (allocator != nullptr) out += " — `" + allocator->as_string() + "`";
   if (workload != nullptr) out += " on " + workload->as_string();
   out += ":\n\n";
@@ -117,7 +119,7 @@ std::string record_section(const Json& rec) {
     out += eps_sweep_table(eps_rows);
     const Json* fit = rec.find("fit");
     if (fit != nullptr && fit->as_string() != "none") {
-      out += "\n" + fit_lines(fit->as_string(), eps_rows);
+      out.append("\n").append(fit_lines(fit->as_string(), eps_rows));
     }
   } else {
     out += generic_rows_table(rows);
@@ -154,7 +156,7 @@ std::string render_claim_block(const BenchSet& set,
           claim->as_string() != result.spec->id) {
         continue;
       }
-      out += "\n" + record_section(*rec);
+      out.append("\n").append(record_section(*rec));
     }
   }
 

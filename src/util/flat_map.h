@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/check.h"
@@ -54,9 +55,7 @@ class FlatIdMap {
 
   /// Inserts value-initialized when absent, like std::unordered_map.
   [[nodiscard]] V& operator[](ItemId key) {
-    MEMREAL_CHECK_MSG(key != kNoItem, "reserved key");
-    if ((size_ + 1) * 8 >= keys_.size() * 5) grow();
-    const std::size_t b = locate(key);
+    const std::size_t b = slot_for(key);
     if (keys_[b] != key) {
       keys_[b] = key;
       values_[b] = V{};
@@ -65,9 +64,40 @@ class FlatIdMap {
     return values_[b];
   }
 
+  /// Inserts `value` under an absent key in one probe; returns false and
+  /// leaves the map unchanged when the key is already present.
+  [[nodiscard]] bool insert(ItemId key, const V& value) {
+    const std::size_t b = slot_for(key);
+    if (keys_[b] == key) return false;
+    keys_[b] = key;
+    values_[b] = value;
+    ++size_;
+    return true;
+  }
+
   void erase(ItemId key) {
-    std::size_t b = locate(key);
-    if (keys_[b] != key) return;
+    const std::size_t b = locate(key);
+    if (keys_[b] == key) erase_at(b);
+  }
+
+  /// Removes `key` in one probe and returns its value; nullopt when absent.
+  [[nodiscard]] std::optional<V> take(ItemId key) {
+    const std::size_t b = locate(key);
+    if (keys_[b] != key) return std::nullopt;
+    std::optional<V> value(std::move(values_[b]));
+    erase_at(b);
+    return value;
+  }
+
+ private:
+  /// Bucket of `key` after any growth an insert of it would need.
+  [[nodiscard]] std::size_t slot_for(ItemId key) {
+    MEMREAL_CHECK_MSG(key != kNoItem, "reserved key");
+    if ((size_ + 1) * 8 >= keys_.size() * 5) grow();
+    return locate(key);
+  }
+
+  void erase_at(std::size_t b) {
     --size_;
     const std::size_t mask = keys_.size() - 1;
     // Backward-shift deletion: re-seat every entry of the probe chain
@@ -89,7 +119,6 @@ class FlatIdMap {
     keys_[hole] = kNoItem;
   }
 
- private:
   static std::uint64_t mix(std::uint64_t x) {
     x ^= x >> 30;
     x *= 0xBF58476D1CE4E5B9ULL;

@@ -145,6 +145,30 @@ TEST(Combined, ExternalUpdateStorm) {
   mem.audit();
 }
 
+TEST(Combined, ReleaseDecisionsArePinned) {
+  // COMBINED runs GEO on its large items, so a change to GEO's decisions
+  // moves these too.
+  const testing::DecisionPin pins[] = {
+      {"churn", 2, 324436076162719, 1704940926027, 3565, 3,
+       12106085263337358506ULL},
+      {"sawtooth", 7, 277787670537578, 1809345500114, 3807, 7,
+       11486818227106462184ULL},
+  };
+  for (const testing::DecisionPin& pin : pins) {
+    SCOPED_TRACE(pin.scenario);
+    const auto cell = testing::run_release_scenario(
+        "combined", pin.scenario, 1.0 / 32, Tick{1} << 40, 2'000, pin.seed);
+    const GeoAllocator& geo =
+        dynamic_cast<const CombinedAllocator&>(cell->allocator()).geo();
+    EXPECT_EQ(cell->stats().moved_mass, pin.moved_mass);
+    EXPECT_EQ(cell->stats().update_mass, pin.update_mass);
+    EXPECT_EQ(geo.level_rebuilds(), pin.level_rebuilds);
+    EXPECT_EQ(geo.waste_recoveries(), pin.waste_recoveries);
+    EXPECT_EQ(testing::layout_digest(cell->memory()), pin.layout_digest);
+    cell->audit();
+  }
+}
+
 // Parameterized sweep over eps, seed and tiny fraction.
 struct CombinedParam {
   double eps;

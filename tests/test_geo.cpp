@@ -7,6 +7,7 @@
 #include "alloc/geo.h"
 #include "mem/memory.h"
 #include "testing.h"
+#include "util/rng.h"
 #include "workload/adversarial.h"
 #include "workload/churn.h"
 
@@ -253,6 +254,82 @@ TEST(Geo, DeleteEveryOtherThenRefill) {
   }
   geo.check_invariants();
   EXPECT_EQ(mem.item_count(), 60u);
+}
+
+TEST(Geo, HandleRecyclingUnderSwapHeavyChurn) {
+  // A small id pool re-inserts freed ids constantly (handles come back off
+  // the free list), sizes straddle the huge threshold, and the non-huge
+  // sizes crowd the last class or two, whose j* holds a single item, so
+  // nearly every non-huge delete swaps in the class minimum (I' inherits
+  // I's slot and label).  The allocator self-check runs after every update.
+  const double eps = 1.0 / 16;
+  Memory mem = testing::strict_memory(kCap, eps);
+  GeoAllocator geo = make_geo(mem, eps, 5);
+  Engine engine(mem, geo);
+  const Tick thr = geo.huge_threshold();
+  Rng rng(21);
+  constexpr ItemId kIds = 48;
+  std::vector<Tick> live(kIds + 1, 0);  // 0 = not live
+  std::size_t reinserts = 0;
+  std::size_t huge_inserts = 0;
+  std::size_t huge_deletes = 0;
+  std::size_t swaps = 0;
+  std::vector<bool> seen(kIds + 1, false);
+  for (int step = 0; step < 4000; ++step) {
+    const ItemId id = 1 + rng.next_below(kIds);
+    if (live[id] == 0) {
+      const bool huge = rng.next_below(4) == 0;
+      const Tick size = huge ? thr + rng.next_below(thr)
+                             : thr - 1 - rng.next_below(thr / 16);
+      engine.step(Update::insert(id, size));
+      live[id] = size;
+      reinserts += seen[id] ? 1 : 0;
+      seen[id] = true;
+      huge_inserts += huge ? 1 : 0;
+    } else {
+      const Tick waste = mem.extent_mass() - mem.live_mass();
+      const std::size_t recoveries = geo.waste_recoveries();
+      engine.step(Update::erase(id, live[id]));
+      huge_deletes += live[id] >= thr ? 1 : 0;
+      // A swap inflates I' (or, if it tips the waste over its threshold,
+      // triggers a recovery that reverts all inflation).
+      swaps += mem.extent_mass() - mem.live_mass() > waste ||
+                       geo.waste_recoveries() > recoveries
+                   ? 1
+                   : 0;
+      live[id] = 0;
+    }
+    ASSERT_NO_THROW(geo.check_invariants()) << "step " << step;
+  }
+  EXPECT_GT(reinserts, 1'000u);
+  EXPECT_GT(huge_inserts, 200u);
+  EXPECT_GT(huge_deletes, 200u);
+  EXPECT_GT(swaps, 500u);
+  EXPECT_GT(geo.waste_recoveries(), 0u);
+  mem.audit();
+}
+
+TEST(Geo, ReleaseDecisionsArePinned) {
+  // The churn case is `memreal_shard --allocator geo --engine release
+  // --shards 1 --threads 1 --updates 5000 --seed 7 --workload churn`.
+  const testing::DecisionPin pins[] = {
+      {"churn", 7, 620101394316755, 2547442922614, 7585, 7,
+       10625526277048858642ULL},
+      {"sawtooth", 7, 340183125954044, 1838737768536, 5450, 7,
+       15280698674935248997ULL},
+  };
+  for (const testing::DecisionPin& pin : pins) {
+    SCOPED_TRACE(pin.scenario);
+    const auto cell = testing::run_release_scenario(
+        "geo", pin.scenario, 1.0 / 64, Tick{1} << 40, 5'000, pin.seed);
+    const auto& geo = dynamic_cast<const GeoAllocator&>(cell->allocator());
+    EXPECT_EQ(cell->stats().moved_mass, pin.moved_mass);
+    EXPECT_EQ(cell->stats().update_mass, pin.update_mass);
+    EXPECT_EQ(geo.level_rebuilds(), pin.level_rebuilds);
+    EXPECT_EQ(geo.waste_recoveries(), pin.waste_recoveries);
+    EXPECT_EQ(testing::layout_digest(cell->memory()), pin.layout_digest);
+    cell->audit();
+  }
 }
 
 TEST(Geo, DeterministicThresholdAblationStillCorrect) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -581,8 +582,8 @@ TEST(Json, ParsesNestedStructures) {
   EXPECT_TRUE(doc.at("a").at(2).at("b").is_null());
   EXPECT_EQ(doc.at("c").as_string(), "x");
   EXPECT_EQ(doc.find("missing"), nullptr);
-  EXPECT_THROW(doc.at("missing"), JsonParseError);
-  EXPECT_THROW(doc.at("a").at(3), JsonParseError);
+  EXPECT_THROW(static_cast<void>(doc.at("missing")), JsonParseError);
+  EXPECT_THROW(static_cast<void>(doc.at("a").at(3)), JsonParseError);
 }
 
 TEST(Json, DumpParseRoundTripsExactly) {
@@ -631,7 +632,7 @@ TEST(Json, ParseEnforcesStrictNumberGrammar) {
 
 TEST(Json, ParseErrorNamesLineAndColumn) {
   try {
-    Json::parse("{\n  \"a\": @\n}");
+    static_cast<void>(Json::parse("{\n  \"a\": @\n}"));
     FAIL() << "expected JsonParseError";
   } catch (const JsonParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -640,10 +641,11 @@ TEST(Json, ParseErrorNamesLineAndColumn) {
 
 TEST(Json, AccessorsRejectWrongKinds) {
   const Json doc = Json::parse("{\"s\": \"x\", \"n\": 1.5}");
-  EXPECT_THROW(doc.at("s").as_double(), JsonParseError);
-  EXPECT_THROW(doc.at("n").as_u64(), JsonParseError);  // not integral
-  EXPECT_THROW(doc.at("n").as_string(), JsonParseError);
-  EXPECT_THROW(doc.at("s").find("k"), JsonParseError);
+  EXPECT_THROW(static_cast<void>(doc.at("s").as_double()), JsonParseError);
+  EXPECT_THROW(static_cast<void>(doc.at("n").as_u64()),
+               JsonParseError);  // not integral
+  EXPECT_THROW(static_cast<void>(doc.at("n").as_string()), JsonParseError);
+  EXPECT_THROW(static_cast<void>(doc.at("s").find("k")), JsonParseError);
   EXPECT_DOUBLE_EQ(Json::parse("7").as_double(), 7.0);  // uint as double ok
 }
 
@@ -750,6 +752,24 @@ TEST(FlatIdMap, ReinsertAfterEraseValueInitializes) {
   m[42] = 10;
   EXPECT_EQ(m.at(42), 10);
   EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatIdMap, InsertRefusesAPresentKeyAndTakeRemovesOnce) {
+  FlatIdMap<int> m(8);
+  EXPECT_TRUE(m.insert(7, 70));
+  EXPECT_FALSE(m.insert(7, 71)) << "a present key must not be overwritten";
+  EXPECT_EQ(m.at(7), 70);
+  EXPECT_EQ(m.size(), 1u);
+  // Across growth boundaries, then take every key back out.
+  for (ItemId id = 8; id < 40; ++id) {
+    ASSERT_TRUE(m.insert(id, static_cast<int>(id)));
+  }
+  EXPECT_EQ(m.take(7), std::optional<int>(70));
+  EXPECT_EQ(m.take(7), std::nullopt);
+  for (ItemId id = 8; id < 40; ++id) {
+    ASSERT_EQ(m.take(id), std::optional<int>(static_cast<int>(id)));
+  }
+  EXPECT_TRUE(m.empty());
 }
 
 TEST(FlatIdMap, EraseOfAbsentKeyIsANoop) {

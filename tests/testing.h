@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "harness/cell.h"
 #include "mem/memory.h"
+#include "perfadv/zoo.h"
 #include "workload/adversarial.h"
 #include "workload/churn.h"
 #include "workload/random_item.h"
@@ -111,6 +112,58 @@ inline RunStats run_cell(const std::string& engine,
   const RunStats stats = cell->run(seq.updates);
   cell->audit();
   return stats;
+}
+
+/// Runs zoo scenario `scenario` (seed `seed`, `updates` churn updates)
+/// through a fresh release cell of `allocator_name` exactly as
+/// `memreal_shard --shards 1 --engine release` builds it: the scenario band
+/// comes from the allocator's size profile and the allocator gets the same
+/// seed.  Returns the cell after the run.
+inline std::unique_ptr<Cell> run_release_scenario(
+    const std::string& allocator_name, const std::string& scenario,
+    double eps, Tick capacity, std::size_t updates, std::uint64_t seed) {
+  const Sequence seq = make_scenario(
+      scenario, scenario_params_for(allocator_info(allocator_name), eps,
+                                    capacity, updates, seed));
+  CellConfig config;
+  config.engine = "release";
+  config.allocator = allocator_name;
+  config.params.eps = eps;
+  config.params.seed = seed;
+  auto cell = make_cell(capacity, Eps::of(eps, capacity).ticks, config);
+  cell->run(seq.updates);
+  return cell;
+}
+
+/// The decisions one release run made: enough to notice any change to a
+/// GEO label, rank, tie break or swap candidate.
+struct DecisionPin {
+  const char* scenario;
+  std::uint64_t seed;
+  std::uint64_t moved_mass;
+  std::uint64_t update_mass;
+  std::size_t level_rebuilds;
+  std::size_t waste_recoveries;
+  std::uint64_t layout_digest;
+};
+
+/// FNV-1a over every (id, offset, size, extent) of the store's layout in
+/// offset order: equal digests mean (up to collision) equal layouts.
+inline std::uint64_t layout_digest(const LayoutStore& store) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const PlacedItem& p : store.snapshot()) {
+    mix(p.id);
+    mix(p.offset);
+    mix(p.size);
+    mix(p.extent);
+  }
+  return h;
 }
 
 /// An allocator name with the eps/delta it should be smoke-run at.

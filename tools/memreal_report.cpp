@@ -1,23 +1,6 @@
 // memreal_report — aggregates the BENCH_*.json artifacts the bench
 // binaries emit into the reproduction report.
 //
-//   memreal_report [options]
-//     --bench-dir DIR     directory holding BENCH_*.json (default .)
-//     --report FILE       generated report path (default docs/REPORT.md)
-//     --experiments FILE  doc whose marker blocks are rewritten in place
-//                         (default EXPERIMENTS.md)
-//     --no-report         skip writing the report file
-//     --no-experiments    skip the EXPERIMENTS.md rewrite
-//     --check             claim-shape regression gate: exit 1 unless every
-//                         claim verdict is PASS (missing bench files fail)
-//     --shard-floor FILE  throughput floor: a BENCH_shard.json from an
-//                         earlier run; every matching updates/sec point in
-//                         the current artifact must reach floor-ratio of it
-//                         (violations fail --check)
-//     --floor-ratio X     fraction of the floor artifact's rate that must
-//                         be sustained (default 0.7)
-//     --quiet             suppress the per-claim summary table
-//
 // For each claim T0–T9 / T-VAL the tool parses the recorded rows,
 // *recomputes* the fits (fit_cost_exponent / fit_cost_log) and applies
 // the paper-shape verdict rules (src/report/verdict.cpp).  Outputs are a
@@ -25,9 +8,10 @@
 // a byte-identical no-op.  Artifacts with a stale schema version are
 // rejected with an error naming the file (re-run the bench).
 //
-// Exit status: 0 = ok, 1 = artifact error or --check verdict failure,
-// 2 = usage error.
+// Run with --help for usage.  Exit status 0 = ok, 1 = artifact error or
+// --check verdict failure, 2 = usage error.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -48,8 +32,29 @@ using namespace memreal;
 using namespace memreal::report;
 using namespace memreal::cli;
 
-constexpr Tool kTool{"memreal_report",
-                     "see the header of tools/memreal_report.cpp for usage"};
+constexpr Tool kTool{"memreal_report"};
+
+constexpr const char* kUsage = R"(memreal_report [options]
+  --bench-dir DIR     directory holding BENCH_*.json (default .)
+  --report FILE       generated report path (default docs/REPORT.md)
+  --experiments FILE  doc whose marker blocks are rewritten in place
+                      (default EXPERIMENTS.md)
+  --no-report         skip writing the report file
+  --no-experiments    skip the EXPERIMENTS.md rewrite
+  --check             claim-shape regression gate: exit 1 unless every
+                      claim verdict is PASS (missing bench files fail)
+  --shard-floor FILE  throughput floor: a BENCH_shard.json from an
+                      earlier run; every matching updates/sec point in
+                      the current artifact must reach floor-ratio of it
+                      (violations fail --check)
+  --floor-ratio X     fraction of the floor artifact's rate that must
+                      be sustained (default 0.7)
+  --quiet             suppress the per-claim summary table
+  --help, -h          print this help and exit
+
+Exit status: 0 = ok, 1 = artifact error or --check verdict failure,
+2 = usage error.
+)";
 
 struct Options {
   std::string bench_dir = ".";
@@ -71,7 +76,10 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
       return argv[++i];
     };
-    if (flag == "--bench-dir") {
+    if (flag == "--help" || flag == "-h") {
+      std::fputs(kUsage, stdout);
+      std::exit(0);
+    } else if (flag == "--bench-dir") {
       o.bench_dir = next();
     } else if (flag == "--report") {
       o.report_path = next();
