@@ -12,7 +12,12 @@
 //               from 1 thread to all cores (on multi-core hosts).
 //
 //   T-REL     — release vs validated engine at S = 1, 1 thread, on a
-//               denser cell: the unchecked fast path's speedup.
+//               denser cell: the unchecked fast path's speedup.  A second
+//               pair runs COMBINED on the zoo churn stream (eps 1/32,
+//               2^40 ticks, sizes in the top 16x of the band — the
+//               perfbench cell_combined cell), where the release store's
+//               order upkeep, not validation, is the work: the fast path
+//               must be no slower than the checked one there.
 //
 // All three are emitted to BENCH_shard.json via BenchJson.
 #include <algorithm>
@@ -22,6 +27,7 @@
 
 #include "bench_common.h"
 #include "harness/cell.h"
+#include "perfadv/zoo.h"
 #include "shard/sharded_engine.h"
 #include "workload/churn.h"
 
@@ -36,6 +42,9 @@ constexpr Tick kShardCapacity = Tick{1} << 34;
 /// validation work, which scales with moved mass — rather than the fixed
 /// per-update engine overhead that dominates a near-empty cell.
 constexpr double kRelEps = 1.0 / 1024;
+/// The COMBINED T-REL pair: the perfbench cell_combined cell.
+constexpr double kCombinedEps = 1.0 / 32;
+constexpr Tick kCombinedCapacity = Tick{1} << 40;
 
 std::size_t cores() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -57,16 +66,15 @@ Sequence shard_workload(const std::string& allocator, std::size_t shards,
 }
 
 ShardedConfig shard_config(const std::string& allocator, std::size_t shards,
-                           std::size_t threads,
-                           const std::string& engine = "validated",
-                           double eps = kEps) {
+                           std::size_t threads, Tick shard_capacity,
+                           const std::string& engine, double eps) {
   ShardedConfig c;
   c.engine = engine;
   c.allocator = allocator;
   c.params.eps = eps;
   c.params.seed = 1;
   c.shards = shards;
-  c.shard_capacity = kShardCapacity;
+  c.shard_capacity = shard_capacity;
   c.eps = eps;
   c.threads = threads;
   c.batch_size = 4'096;
@@ -83,8 +91,8 @@ Point measure(const std::string& allocator, const Sequence& seq,
               std::size_t shards, std::size_t threads,
               const std::string& engine_name = "validated",
               double eps = kEps) {
-  ShardedEngine engine(
-      shard_config(allocator, shards, threads, engine_name, eps));
+  ShardedEngine engine(shard_config(allocator, shards, threads,
+                                    seq.capacity / shards, engine_name, eps));
   Point p{shards, engine.thread_count(), engine.run(seq)};
   engine.audit();
   return p;
@@ -207,6 +215,49 @@ void print_experiment() {
   by_engine.print(std::cout);
   std::cout << "release / validated updates-per-second ratio at S = 1: "
             << Table::num(validated_rate > 0 ? release_rate / validated_rate
+                                             : 0.0, 3)
+            << "x\n";
+
+  print_header("T-REL — COMBINED engine throughput (S = 1, single thread)",
+               "COMBINED on zoo churn (eps = 1/32, 2^40 ticks, sizes in "
+               "the top 16x of the band, ~1,650 live items): the release "
+               "store re-orders ~200 items per update, so its index "
+               "upkeep must stay cheaper than the validated engine's "
+               "checks.");
+  const std::string combined = "combined";
+  ScenarioParams cp = scenario_params_for(
+      allocator_info(combined), kCombinedEps, kCombinedCapacity,
+      fast ? 1'000 : 10'000, 1);
+  cp.min_size = cp.max_size / 16;
+  const Sequence seq_combined = make_scenario("churn", cp);
+  Json comb_rec = series_record("engine_throughput", "T-REL",
+                                "engine-throughput/combined");
+  comb_rec.set("allocator", combined);
+  comb_rec.set("workload",
+               "zoo churn, sizes in the top 16x of the band, eps 1/32, "
+               "2^40 ticks, S = 1, 1 thread");
+  Json comb_rows = Json::array();
+  Table comb_table({"engine", "updates", "wall_s", "updates/s", "mean_cost"});
+  double comb_validated = 0.0;
+  double comb_release = 0.0;
+  for (const std::string& engine : engine_names()) {
+    const Point p =
+        measure(combined, seq_combined, 1, 1, engine, kCombinedEps);
+    comb_table.add_row({engine, std::to_string(p.stats.global.updates),
+                        Table::num(p.stats.global.wall_seconds, 4),
+                        Table::num(p.stats.updates_per_second(), 6),
+                        Table::num(p.stats.global.mean_cost(), 4)});
+    Json row = point_row(p);
+    row.set("engine", engine);
+    comb_rows.push(std::move(row));
+    if (engine == "validated") comb_validated = p.stats.updates_per_second();
+    if (engine == "release") comb_release = p.stats.updates_per_second();
+  }
+  comb_rec.set("rows", std::move(comb_rows));
+  artifact.add(std::move(comb_rec));
+  comb_table.print(std::cout);
+  std::cout << "COMBINED release / validated updates-per-second ratio: "
+            << Table::num(comb_validated > 0 ? comb_release / comb_validated
                                              : 0.0, 3)
             << "x\n";
 

@@ -153,13 +153,14 @@ void GeoAllocator::order_erase(std::size_t k) {
   order_h_.erase(order_h_.begin() + at);
 }
 
-void GeoAllocator::place_run(std::size_t from) {
+void GeoAllocator::place_run(std::size_t from, std::size_t to) {
   const Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
-  mem_->apply_run(std::span<const ItemId>(order_).subspan(from), off);
+  mem_->apply_run(std::span<const ItemId>(order_).subspan(from, to - from),
+                  off);
 }
 
 void GeoAllocator::apply_layout(std::size_t from) {
-  place_run(from);
+  place_run(from, order_.size());
   for (std::size_t k = from; k < order_.size(); ++k) {
     pos_[order_h_[k]] = k;
   }
@@ -257,10 +258,19 @@ void GeoAllocator::rebuild_level(int j0) {
     label_[h] = lbl;
     pos_[h] = ss + dst;
   }
+  // The suffix is contiguous before the sort, so the items it left in
+  // place at either end keep their offsets (the stretch between is a
+  // permutation of itself): only that stretch is relaid.
+  std::size_t first = 0;
+  while (first < len && sorted_h_[first] == order_h_[ss + first]) ++first;
+  std::size_t last = len;
+  while (last > first && sorted_h_[last - 1] == order_h_[ss + last - 1]) {
+    --last;
+  }
   const auto at = static_cast<std::ptrdiff_t>(ss);
   std::copy(sorted_.begin(), sorted_.end(), order_.begin() + at);
   std::copy(sorted_h_.begin(), sorted_h_.end(), order_h_.begin() + at);
-  place_run(ss);
+  if (first < last) place_run(ss + first, ss + last);
 }
 
 void GeoAllocator::bump_counters_and_rebuild(std::size_t cls,

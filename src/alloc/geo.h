@@ -39,8 +39,8 @@
 // through handles, picks each label with a cursor over c_{i,.} that only
 // moves shallower (c is non-increasing in j and rank only grows), regroups
 // the suffix with a stable counting sort over labels (member buffers, no
-// allocation per rebuild), and relays it out as one LayoutStore::apply_run
-// batch.
+// allocation per rebuild), and relays out only the stretch the sort
+// changed, as one LayoutStore::apply_run batch.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +110,8 @@ class GeoAllocator final : public Allocator {
   /// Lays order_[from..] out contiguously after order_[from - 1] and
   /// refreshes their positions.
   void apply_layout(std::size_t from);
-  /// The relayout alone: one apply_run over order_[from..].
-  void place_run(std::size_t from);
+  /// The relayout alone: one apply_run over order_[from, to).
+  void place_run(std::size_t from, std::size_t to);
   [[nodiscard]] std::size_t suffix_start_for_label(int label) const;
   void rebuild_level(int j0);
   void waste_recovery();

@@ -10,7 +10,7 @@
 //                             periodic full audits.  The correctness
 //                             reference for everything else.
 //   SlabStore (src/release) — the release fast path: flat SoA item records,
-//                             open-addressed id map, no per-update
+//                             a FlatIdMap id -> slot map, no per-update
 //                             validation, only O(1) cost counters.  Its
 //                             correctness is established externally by the
 //                             lockstep differential suite (ctest -L
@@ -120,11 +120,12 @@ class LayoutStore {
   /// Relocates `ids` extent-contiguously starting at `offset` (each item
   /// lands at the previous item's new end); returns the end of the run.
   /// Exactly equivalent to the move_to/extent_of loop below — same cost
-  /// charges, same layout and index order once it returns — but
-  /// overridable so a store can resolve each id once and restore its
-  /// offset order once per run instead of once per move.  The run is one
-  /// call, so no query can observe it half applied; the index order is
-  /// exact again when it returns.
+  /// charges, same layout, same answers to every later query — but
+  /// overridable so a store can resolve each id once and check the run's
+  /// order once it has landed.  A store may defer its offset-order repair
+  /// past the call (SlabStore does, to end_update or the next ordered
+  /// query or run); ordered queries still see the exact order, at any
+  /// point inside an update and after end_update.
   virtual Tick apply_run(std::span<const ItemId> ids, Tick offset) {
     for (const ItemId id : ids) {
       move_to(id, offset);

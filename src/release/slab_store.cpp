@@ -6,12 +6,6 @@
 
 namespace memreal {
 
-namespace {
-
-constexpr std::size_t kInitialBuckets = 64;
-
-}  // namespace
-
 SlabStore::SlabStore(Tick capacity, Tick eps_ticks, ValidationPolicy policy)
     : capacity_(capacity), eps_ticks_(eps_ticks), policy_(policy) {
   MEMREAL_CHECK(capacity > 0);
@@ -19,74 +13,6 @@ SlabStore::SlabStore(Tick capacity, Tick eps_ticks, ValidationPolicy policy)
                     "eps truncated to zero ticks — the load-factor and "
                     "resizable-bound checks would be vacuous (see Eps::of)");
   MEMREAL_CHECK_MSG(eps_ticks < capacity, "eps must be < 1");
-  map_keys_.assign(kInitialBuckets, kNoItem);
-  map_slots_.assign(kInitialBuckets, kNoSlot);
-}
-
-// -- Open-addressed id map --------------------------------------------------
-
-void SlabStore::map_insert(ItemId id, std::uint32_t slot) {
-  // Grow at 5/8 load so probe chains stay short.
-  if ((ids_.size() + 1) * 8 >= map_keys_.size() * 5) map_grow();
-  const std::size_t mask = map_keys_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-  while (map_keys_[b] != kNoItem) b = (b + 1) & mask;
-  map_keys_[b] = id;
-  map_slots_[b] = slot;
-}
-
-void SlabStore::map_set(ItemId id, std::uint32_t slot) {
-  const std::size_t mask = map_keys_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-  while (map_keys_[b] != id) {
-    MEMREAL_CHECK_MSG(map_keys_[b] != kNoItem, "unknown item id " << id);
-    b = (b + 1) & mask;
-  }
-  map_slots_[b] = slot;
-}
-
-void SlabStore::map_erase(ItemId id) {
-  const std::size_t mask = map_keys_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-  while (map_keys_[b] != id) {
-    MEMREAL_CHECK_MSG(map_keys_[b] != kNoItem, "unknown item id " << id);
-    b = (b + 1) & mask;
-  }
-  // Backward-shift deletion: re-seat every entry of the probe chain that
-  // follows the hole, so lookups never need tombstones.
-  std::size_t hole = b;
-  std::size_t next = (b + 1) & mask;
-  while (map_keys_[next] != kNoItem) {
-    const std::size_t home = static_cast<std::size_t>(mix(map_keys_[next])) &
-                             mask;
-    // Move the entry into the hole iff the hole lies on the (cyclic) probe
-    // path from its home bucket to its current bucket.
-    const bool reachable = hole <= next ? (home <= hole || home > next)
-                                        : (home <= hole && home > next);
-    if (reachable) {
-      map_keys_[hole] = map_keys_[next];
-      map_slots_[hole] = map_slots_[next];
-      hole = next;
-    }
-    next = (next + 1) & mask;
-  }
-  map_keys_[hole] = kNoItem;
-  map_slots_[hole] = kNoSlot;
-}
-
-void SlabStore::map_grow() {
-  std::vector<ItemId> old_keys = std::move(map_keys_);
-  std::vector<std::uint32_t> old_slots = std::move(map_slots_);
-  map_keys_.assign(old_keys.size() * 2, kNoItem);
-  map_slots_.assign(old_slots.size() * 2, kNoSlot);
-  const std::size_t mask = map_keys_.size() - 1;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == kNoItem) continue;
-    std::size_t b = static_cast<std::size_t>(mix(old_keys[i])) & mask;
-    while (map_keys_[b] != kNoItem) b = (b + 1) & mask;
-    map_keys_[b] = old_keys[i];
-    map_slots_[b] = old_slots[i];
-  }
 }
 
 // -- Ordered index maintenance ----------------------------------------------
@@ -103,31 +29,53 @@ std::size_t SlabStore::index_lower_bound(std::size_t lo, std::size_t hi,
   return static_cast<std::size_t>(it - by_offset_.begin());
 }
 
-void SlabStore::index_reseat(std::size_t pos) {
-  const std::uint32_t slot = by_offset_[pos];
-  const Tick offset = offsets_[slot];
-  const ItemId id = ids_[slot];
-  const auto base = by_offset_.begin();
-  if (pos > 0 && !slot_less(by_offset_[pos - 1], slot)) {
-    // Out of order leftward: slide the entry down to its sorted position.
-    const std::size_t p = index_lower_bound(0, pos, offset, id);
-    std::rotate(base + static_cast<std::ptrdiff_t>(p),
-                base + static_cast<std::ptrdiff_t>(pos),
-                base + static_cast<std::ptrdiff_t>(pos + 1));
-    for (std::size_t i = p; i <= pos; ++i) {
-      index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
-    }
-  } else {
-    // Out of order rightward: entries (pos, p) shift left one.
-    const std::size_t p =
-        index_lower_bound(pos + 1, by_offset_.size(), offset, id);
-    std::rotate(base + static_cast<std::ptrdiff_t>(pos),
-                base + static_cast<std::ptrdiff_t>(pos + 1),
-                base + static_cast<std::ptrdiff_t>(p));
-    for (std::size_t i = pos; i < p; ++i) {
-      index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
+void SlabStore::repair_order() const {
+  if (!pending_sorted_) {
+    std::sort(pending_.begin(), pending_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return slot_less(a, b);
+              });
+  }
+  const std::size_t total = by_offset_.size();
+  const std::size_t m = pending_.size();
+  // When holes and pending slots balance, every entry past the last hole
+  // and the largest pending key keeps its position; otherwise the whole
+  // tail shifts.
+  std::size_t hi = total;
+  if (m == holes_) {
+    const std::uint32_t last = pending_.back();
+    hi = index_lower_bound(last_hole_ + 1, total, offsets_[last], ids_[last]);
+  }
+  // Drop the holes: the settled entries of [first hole, hi) slide left.
+  std::size_t end = hi;
+  if (holes_ != 0) {
+    end = first_hole_;
+    for (std::size_t p = first_hole_; p < hi; ++p) {
+      const std::uint32_t slot = by_offset_[p];
+      if (slot == kHole) continue;
+      by_offset_[end] = slot;
+      index_pos_[slot] = static_cast<std::uint32_t>(end);
+      ++end;
     }
   }
+  // Merge pending_ in from the right, in place: the write cursor stays
+  // ahead of the read cursor by the number of slots still pending.
+  if (hi == total) by_offset_.resize(end + m);
+  std::size_t write = end + m;
+  std::size_t read = end;
+  for (std::size_t q = m; q > 0;) {
+    std::uint32_t slot = pending_[q - 1];
+    if (read > 0 && slot_less(slot, by_offset_[read - 1])) {
+      slot = by_offset_[--read];
+    } else {
+      --q;
+    }
+    by_offset_[--write] = slot;
+    index_pos_[slot] = static_cast<std::uint32_t>(write);
+  }
+  pending_.clear();
+  pending_sorted_ = true;
+  holes_ = 0;
 }
 
 // -- Transactions -----------------------------------------------------------
@@ -142,6 +90,7 @@ void SlabStore::begin_update(Tick update_size, bool is_insert) {
 
 Tick SlabStore::end_update() {
   MEMREAL_CHECK_MSG(in_update_, "end_update without begin_update");
+  settle();
   in_update_ = false;
   total_moved_ += moved_;
   ++updates_;
@@ -152,30 +101,23 @@ Tick SlabStore::end_update() {
 
 void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  MEMREAL_CHECK_MSG(probe(id) == kNoSlot, "item " << id << " already placed");
   MEMREAL_CHECK(size > 0);
   if (extent == 0) extent = size;
   MEMREAL_CHECK(extent >= size);
   const auto slot = static_cast<std::uint32_t>(ids_.size());
+  MEMREAL_CHECK_MSG(slot_.insert(id, slot),
+                    "item " << id << " already placed");
   ids_.push_back(id);
   offsets_.push_back(offset);
   sizes_.push_back(size);
   extents_.push_back(extent);
-  if (by_offset_.empty() || slot_less(by_offset_.back(), slot)) {
-    // Rightmost placement (every append-style allocator insert): no shift.
-    index_pos_.push_back(static_cast<std::uint32_t>(by_offset_.size()));
-    by_offset_.push_back(slot);
+  index_pos_.push_back(static_cast<std::uint32_t>(by_offset_.size()));
+  if (fits_at(by_offset_.size(), slot)) {
+    by_offset_.push_back(slot);  // rightmost: every append-style insert
   } else {
-    const std::size_t pos = index_lower_bound(offset, id);
-    by_offset_.insert(by_offset_.begin() + static_cast<std::ptrdiff_t>(pos),
-                      slot);
-    index_pos_.push_back(static_cast<std::uint32_t>(pos));
-    for (std::size_t i = pos + 1; i < by_offset_.size(); ++i) {
-      index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
-    }
+    enqueue(slot);
   }
   span_add(offset + extent);
-  map_insert(id, slot);
   live_mass_ += size;
   extent_mass_ += extent;
   moved_ += size;
@@ -190,13 +132,13 @@ void SlabStore::move_to(ItemId id, Tick offset) {
   span_drop(old_offset + extent);
   offsets_[slot] = offset;
   span_add(offset + extent);
-  // Compaction moves preserve (offset, id) order; only a move that crosses
-  // a neighbor pays the index reseat.
-  const std::size_t pos = index_pos_[slot];
-  const bool ordered =
-      (pos == 0 || slot_less(by_offset_[pos - 1], slot)) &&
-      (pos + 1 == by_offset_.size() || slot_less(slot, by_offset_[pos + 1]));
-  if (!ordered) index_reseat(pos);
+  const std::uint32_t pos = index_pos_[slot];
+  if ((pos & kQueued) != 0) {
+    pending_sorted_ = false;
+  } else if (!fits_at(pos, slot)) {
+    punch_hole(pos);
+    enqueue(slot);
+  }
   moved_ += sizes_[slot];
 }
 
@@ -204,9 +146,13 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
   if (ids.size() == ids_.size() && !ids.empty()) {
     // Full-layout rewrite (every SIMPLE rebuild): the run IS the final
-    // offset order, so by_offset_ can be written directly — no per-move
-    // order checks, no reseat rotations.  Extents >= 1 make the resulting
-    // offsets strictly increasing, and the span is the last item's end.
+    // offset order, so by_offset_ is written directly, replacing any hole
+    // or pending slot.  Extents >= 1 make the resulting offsets strictly
+    // increasing, and the span is the last item's end.
+    by_offset_.resize(ids.size());
+    pending_.clear();
+    pending_sorted_ = true;
+    holes_ = 0;
     for (std::size_t k = 0; k < ids.size(); ++k) {
       const std::uint32_t slot = slot_of(ids[k]);
       if (offsets_[slot] != offset) {
@@ -221,31 +167,32 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
     span_dirty_ = false;
     return offset;
   }
-  // Partial run (covering-set compaction, GEO level rebuilds): write the
-  // offsets and record the moved slots; (offset, id) order is checked once
-  // the whole run has landed and, if any moved slot broke it, restored in
-  // one pass instead of one reseat per move.
-  run_moved_.clear();
+  // Partial run (covering-set compaction, GEO level rebuilds).  It starts
+  // with nothing queued, so its moved slots, collected in pending_ while
+  // still indexed where they were, join the queue in run order — key
+  // order — and never mix with earlier queued slots.
+  if (!pending_.empty()) settle();
   for (const ItemId id : ids) {
     const std::uint32_t slot = slot_of(id);
     if (offsets_[slot] != offset) {
       offsets_[slot] = offset;
       moved_ += sizes_[slot];
-      run_moved_.push_back(slot);
+      pending_.push_back(slot);
     }
     offset += extents_[slot];
   }
-  if (run_moved_.empty()) return offset;
-  // The index was exact before the run and unmoved pairs kept their keys,
-  // so it is still sorted iff every moved slot is ordered against its two
-  // index neighbors.
-  const std::size_t n = by_offset_.size();
-  for (const std::uint32_t slot : run_moved_) {
-    const std::size_t pos = index_pos_[slot];
-    if ((pos > 0 && !slot_less(by_offset_[pos - 1], slot)) ||
-        (pos + 1 < n && !slot_less(slot, by_offset_[pos + 1]))) {
-      restore_run_order();
-      break;
+  // Unmoved slots kept their keys, so the index is still in order iff
+  // every moved slot fits between its neighbours: then they all stay
+  // (every compaction run).  Otherwise they all queue.
+  if (std::all_of(pending_.begin(), pending_.end(), [this](std::uint32_t s) {
+        return fits_at(index_pos_[s], s);
+      })) {
+    pending_.clear();
+  } else {
+    for (std::size_t k = 0; k < pending_.size(); ++k) {
+      const std::uint32_t slot = pending_[k];
+      punch_hole(index_pos_[slot]);
+      index_pos_[slot] = kQueued | static_cast<std::uint32_t>(k);
     }
   }
   // Run items are extent-contiguous by construction, so the run's max end
@@ -259,43 +206,6 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
     span_dirty_ = true;
   }
   return offset;
-}
-
-void SlabStore::restore_run_order() {
-  // run_moved_ is already in (offset, id) order: a run lays its items at
-  // strictly increasing offsets (every extent is >= 1).
-  const std::size_t n = by_offset_.size();
-  const std::size_t m = run_moved_.size();
-  // Everything left of the first moved slot's old position, and left of
-  // where the smallest moved key lands, keeps its index position.
-  std::size_t lo = n;
-  for (const std::uint32_t slot : run_moved_) {
-    lo = std::min<std::size_t>(lo, index_pos_[slot]);
-  }
-  const std::uint32_t head = run_moved_.front();
-  lo = index_lower_bound(0, lo, offsets_[head], ids_[head]);
-  // Drop the moved slots (marked through index_pos_), compacting the kept
-  // ones — still sorted, their keys did not change — to the left.
-  for (const std::uint32_t slot : run_moved_) index_pos_[slot] = kNoSlot;
-  std::size_t kept = lo;
-  for (std::size_t pos = lo; pos < n; ++pos) {
-    const std::uint32_t slot = by_offset_[pos];
-    if (index_pos_[slot] != kNoSlot) by_offset_[kept++] = slot;
-  }
-  // Merge the moved slots back from the right end, in place.
-  std::size_t out = n;
-  std::size_t a = kept;
-  std::size_t b = m;
-  while (b > 0) {
-    if (a > lo && slot_less(run_moved_[b - 1], by_offset_[a - 1])) {
-      by_offset_[--out] = by_offset_[--a];
-    } else {
-      by_offset_[--out] = run_moved_[--b];
-    }
-  }
-  for (std::size_t pos = lo; pos < n; ++pos) {
-    index_pos_[by_offset_[pos]] = static_cast<std::uint32_t>(pos);
-  }
 }
 
 void SlabStore::reset_extents(std::span<const ItemId> ids) {
@@ -342,16 +252,24 @@ void SlabStore::reset_extent(ItemId id) {
 
 void SlabStore::remove(ItemId id) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  const std::uint32_t slot = slot_of(id);
+  const std::optional<std::uint32_t> taken = slot_.take(id);
+  MEMREAL_CHECK_MSG(taken.has_value(), "unknown item id " << id);
+  const std::uint32_t slot = *taken;
   live_mass_ -= sizes_[slot];
   extent_mass_ -= extents_[slot];
   span_drop(offsets_[slot] + extents_[slot]);
-  const std::size_t pos = index_pos_[slot];
-  by_offset_.erase(by_offset_.begin() + static_cast<std::ptrdiff_t>(pos));
-  for (std::size_t i = pos; i < by_offset_.size(); ++i) {
-    index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
+  // A settled slot leaves a hole; a queued one leaves pending_ by
+  // swap-with-last, re-pointing the moved entry's queue index.
+  const std::uint32_t pos = index_pos_[slot];
+  if ((pos & kQueued) == 0) {
+    punch_hole(pos);
+  } else {
+    const std::uint32_t q = pos & ~kQueued;
+    if (q + 1 != pending_.size()) pending_sorted_ = false;
+    pending_[q] = pending_.back();
+    index_pos_[pending_[q]] = pos;
+    pending_.pop_back();
   }
-  map_erase(id);
   // Swap-with-last keeps the record arrays dense; the moved record's map
   // and index entries must be re-pointed at its new slot.
   const auto last = static_cast<std::uint32_t>(ids_.size() - 1);
@@ -360,9 +278,14 @@ void SlabStore::remove(ItemId id) {
     offsets_[slot] = offsets_[last];
     sizes_[slot] = sizes_[last];
     extents_[slot] = extents_[last];
-    index_pos_[slot] = index_pos_[last];
-    by_offset_[index_pos_[slot]] = slot;
-    map_set(ids_[slot], slot);
+    const std::uint32_t last_pos = index_pos_[last];
+    index_pos_[slot] = last_pos;
+    if ((last_pos & kQueued) != 0) {
+      pending_[last_pos & ~kQueued] = slot;
+    } else {
+      by_offset_[last_pos] = slot;
+    }
+    *slot_.find(ids_[slot]) = slot;
   }
   ids_.pop_back();
   offsets_.pop_back();
@@ -385,13 +308,10 @@ void SlabStore::recompute_span() const {
 // -- Ordered queries --------------------------------------------------------
 
 std::optional<PlacedItem> SlabStore::item_at(Tick offset) const {
-  // upper_bound on (offset, kNoItem): the first entry strictly past every
-  // id at `offset` — mirror of Memory::item_at.
-  std::size_t pos = index_lower_bound(offset, kNoItem);
-  if (pos < by_offset_.size() && offsets_[by_offset_[pos]] == offset &&
-      ids_[by_offset_[pos]] == kNoItem) {
-    ++pos;  // unreachable in practice (kNoItem is never placed), but exact
-  }
+  // The first entry strictly past every id at `offset` (kNoItem is never
+  // placed) — mirror of Memory::item_at.
+  settle();
+  const std::size_t pos = index_lower_bound(offset, kNoItem);
   if (pos == 0) return std::nullopt;
   const std::uint32_t slot = by_offset_[pos - 1];
   if (offsets_[slot] + extents_[slot] > offset) return placed(slot);
@@ -399,29 +319,34 @@ std::optional<PlacedItem> SlabStore::item_at(Tick offset) const {
 }
 
 std::optional<PlacedItem> SlabStore::first_at_or_after(Tick offset) const {
+  settle();
   const std::size_t pos = index_lower_bound(offset, ItemId{0});
   if (pos == by_offset_.size()) return std::nullopt;
   return placed(by_offset_[pos]);
 }
 
 std::optional<PlacedItem> SlabStore::last_before(Tick offset) const {
+  settle();
   const std::size_t pos = index_lower_bound(offset, ItemId{0});
   if (pos == 0) return std::nullopt;
   return placed(by_offset_[pos - 1]);
 }
 
 std::optional<PlacedItem> SlabStore::first_item() const {
+  settle();
   if (by_offset_.empty()) return std::nullopt;
   return placed(by_offset_.front());
 }
 
 std::optional<PlacedItem> SlabStore::last_item() const {
+  settle();
   if (by_offset_.empty()) return std::nullopt;
   return placed(by_offset_.back());
 }
 
 SlabStore::Neighbors SlabStore::neighbors_of(ItemId id) const {
   const std::uint32_t slot = slot_of(id);
+  settle();
   const std::size_t pos = index_pos_[slot];
   Neighbors out;
   if (pos > 0) out.prev = placed(by_offset_[pos - 1]);
@@ -430,6 +355,7 @@ SlabStore::Neighbors SlabStore::neighbors_of(ItemId id) const {
 }
 
 std::vector<PlacedItem> SlabStore::items_in(Tick from, Tick to) const {
+  settle();
   std::vector<PlacedItem> out;
   for (std::size_t pos = index_lower_bound(from, ItemId{0});
        pos < by_offset_.size() && offsets_[by_offset_[pos]] < to; ++pos) {
@@ -439,6 +365,7 @@ std::vector<PlacedItem> SlabStore::items_in(Tick from, Tick to) const {
 }
 
 std::vector<PlacedItem> SlabStore::snapshot() const {
+  settle();
   std::vector<PlacedItem> out;
   out.reserve(by_offset_.size());
   for (const std::uint32_t slot : by_offset_) out.push_back(placed(slot));
@@ -446,6 +373,7 @@ std::vector<PlacedItem> SlabStore::snapshot() const {
 }
 
 std::vector<std::pair<Tick, Tick>> SlabStore::gaps() const {
+  settle();
   std::vector<std::pair<Tick, Tick>> out;
   Tick cursor = 0;
   for (const std::uint32_t slot : by_offset_) {
@@ -463,6 +391,12 @@ void SlabStore::audit() const {
                         ids_.size() == sizes_.size() &&
                         ids_.size() == extents_.size(),
                     "SoA array size drift");
+  MEMREAL_CHECK_MSG(slot_.size() == ids_.size(), "id-map size drift");
+  if (!in_update_) {
+    MEMREAL_CHECK_MSG(pending_.empty() && holes_ == 0,
+                      "index left unsettled between updates");
+  }
+  settle();
   MEMREAL_CHECK_MSG(by_offset_.size() == ids_.size(),
                     "by-offset index size drift");
   MEMREAL_CHECK_MSG(index_pos_.size() == ids_.size(),
@@ -494,7 +428,7 @@ void SlabStore::audit() const {
                                        << ") intersects item " << prev_id
                                        << " ending at " << prev_end);
     MEMREAL_CHECK(extent >= size);
-    MEMREAL_CHECK_MSG(probe(id) == slot, "id-map drift for item " << id);
+    MEMREAL_CHECK_MSG(slot_of(id) == slot, "id-map drift for item " << id);
     prev_end = offset + extent;
     max_end = std::max(max_end, prev_end);
     prev_id = id;

@@ -11,13 +11,12 @@
 //   ids_ / offsets_ / sizes_ / extents_   dense parallel arrays, one slot
 //                                         per live item; slots are kept
 //                                         dense by swap-with-last removal
-//   map_keys_ / map_slots_                open-addressed id -> slot table
-//                                         (power-of-two, linear probing,
-//                                         backward-shift deletion): O(1)
+//   slot_                                 FlatIdMap id -> slot: O(1)
 //                                         point queries
-//   by_offset_ / index_pos_               slot indices sorted by
+//   by_offset_ / index_pos_ / pending_    slot indices sorted by
 //                                         (offset, id), plus the inverse
-//                                         permutation (slot -> position):
+//                                         map (slot -> position, or ->
+//                                         pending_ index under kQueued):
 //                                         ordered queries are binary
 //                                         searches over contiguous memory;
 //                                         mutations find their own entry
@@ -28,20 +27,23 @@
 //                                         span_end() recomputes with one
 //                                         O(n) scan of the slab
 //
-// Three structural facts keep the hot path cheap.  First, compaction-style
-// moves (every SIMPLE rebuild / covering-set compaction) slide items left
-// without reordering, so move_to only touches by_offset_ when the
-// (offset, id) order actually changes — the common move is two array
-// writes, and a single order-breaking move_to (GEO's swap-on-delete) pays
-// one eager reseat.  Second, runs that do reorder (every GEO level
-// rebuild) go through apply_run, which writes all offsets first and then
-// restores order once per run: the m moved slots are dropped from
-// by_offset_ and merged back in one O(n + m) pass, instead of one O(n)
-// std::rotate reseat per move.  No order state outlives the call, so
-// ordered queries never see a half-sorted index.  Third, span_end() is
-// rarely read between updates, so the span cache is a scalar with lazy
-// recompute instead of a sorted multiset that would charge two
-// binary-search insertions per move.
+// One rule keeps the index cheap: a mutation whose slot stays
+// (offset, id)-ordered against its nearest settled index neighbours is
+// written in place (two array writes, two comparisons: every compaction
+// move and rightmost placement); anything else leaves a hole in by_offset_
+// and/or joins pending_, in O(1).  A partial apply_run applies the rule
+// once its run has landed — all moved slots stay, or all queue in run
+// (= key) order — and a run covering every item (SIMPLE's rebuild) is
+// written to by_offset_ directly.  settle() repairs the index: it sorts
+// the queue if needed, drops the holes and merges the queue back in
+// place, rewriting only the stretch of by_offset_ that changes.  It runs
+// at end_update, at the first ordered query inside an update, and before
+// a partial run when slots are queued (so a run's queue needs no sort),
+// so per-item moves pay one repair per update: a TINYSLAB unit rotation
+// costs O(n + m log m), not one O(n) shift per move.  Between updates the
+// index is exact and const queries write nothing, so shared-lock readers
+// stay race-free.  The span cache is a lazily recomputed scalar:
+// span_end() is rarely read between updates.
 //
 // The (offset, id) sort key matches Memory's index exactly, so every
 // ordered query (item_at, first_at_or_after, neighbors_of, snapshot, ...)
@@ -61,6 +63,7 @@
 // update, zero size): they prevent undefined behavior, not layout bugs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -70,6 +73,7 @@
 
 #include "core/layout_store.h"
 #include "util/check.h"
+#include "util/flat_map.h"
 #include "util/types.h"
 
 namespace memreal {
@@ -103,7 +107,7 @@ class SlabStore final : public LayoutStore {
   // -- Point queries ------------------------------------------------------
 
   [[nodiscard]] bool contains(ItemId id) const override {
-    return probe(id) != kNoSlot;
+    return slot_.contains(id);
   }
   [[nodiscard]] Tick offset_of(ItemId id) const override {
     return offsets_[slot_of(id)];
@@ -154,8 +158,9 @@ class SlabStore final : public LayoutStore {
 
   // -- Validation ---------------------------------------------------------
 
-  /// Full O(n log n) structural check: SoA/map/index/span consistency,
-  /// extent disjointness, mass totals, policy-gated span and load bounds.
+  /// Full O(n log n) structural check: SoA/map/index/span consistency
+  /// (outside an update: nothing pending, no hole left), extent
+  /// disjointness, mass totals, policy-gated span and load bounds.
   /// Never runs implicitly — a release cell runs it only on an explicit
   /// Cell::audit() (and the fuzz oracle when judging a failure).
   void audit() const override;
@@ -174,59 +179,69 @@ class SlabStore final : public LayoutStore {
   void debug_corrupt_first_offset(Tick delta);
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
-  /// SplitMix64 finalizer — full-avalanche id hash for the open-addressed
-  /// table (sequential ids would otherwise cluster probes).
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
-
-  /// Open-addressed lookup; kNoSlot when absent.
-  [[nodiscard]] std::uint32_t probe(ItemId id) const {
-    const std::size_t mask = map_keys_.size() - 1;
-    std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-    while (map_keys_[b] != kNoItem) {
-      if (map_keys_[b] == id) return map_slots_[b];
-      b = (b + 1) & mask;
-    }
-    return kNoSlot;
-  }
-  /// Like probe(), but a missing id is a usage error.
-  [[nodiscard]] std::uint32_t slot_of(ItemId id) const {
-    const std::uint32_t s = probe(id);
-    MEMREAL_CHECK_MSG(s != kNoSlot, "unknown item id " << id);
-    return s;
-  }
-  void map_insert(ItemId id, std::uint32_t slot);
-  void map_erase(ItemId id);
-  void map_set(ItemId id, std::uint32_t slot);
-  void map_grow();
+  /// by_offset_ entry whose slot left it (removed, or queued in pending_).
+  static constexpr std::uint32_t kHole = 0xFFFFFFFFu;
+  /// index_pos_ flag: the low bits are the slot's pending_ index.
+  static constexpr std::uint32_t kQueued = 0x80000000u;
+  /// How many holes fits_at() looks past for a settled neighbour before
+  /// it counts the slot as unordered (queueing it is always correct).
+  static constexpr std::size_t kMaxHoleSkip = 8;
 
   /// (offset, id) order of two slots — the index sort key.
   [[nodiscard]] bool slot_less(std::uint32_t a, std::uint32_t b) const {
     return offsets_[a] != offsets_[b] ? offsets_[a] < offsets_[b]
                                       : ids_[a] < ids_[b];
   }
-  /// Position in by_offset_[lo, hi) of the first slot with
+  /// Position in by_offset_[lo, hi) (hole-free) of the first slot with
   /// (offset, id) >= key.
   [[nodiscard]] std::size_t index_lower_bound(std::size_t lo, std::size_t hi,
                                               Tick offset, ItemId id) const;
   [[nodiscard]] std::size_t index_lower_bound(Tick offset, ItemId id) const {
     return index_lower_bound(0, by_offset_.size(), offset, id);
   }
-  /// Re-seats by_offset_[pos] (whose stored offset just changed) so the
-  /// index is sorted again; refreshes index_pos_ for every shifted entry.
-  void index_reseat(std::size_t pos);
-  /// Re-sorts the index after a partial apply_run broke its order: drops
-  /// the run's moved slots (run_moved_), merges them back in one pass and
-  /// rewrites index_pos_ from the first changed position.  O(n + m).
-  void restore_run_order();
+
+  /// Slot of a live id; a missing id is a usage error.
+  [[nodiscard]] std::uint32_t slot_of(ItemId id) const {
+    const std::uint32_t* slot = slot_.find(id);
+    MEMREAL_CHECK_MSG(slot != nullptr, "unknown item id " << id);
+    return *slot;
+  }
+
+  /// True when `slot`, written at by_offset_[pos], is (offset, id)-ordered
+  /// against the nearest settled entry on each side.
+  [[nodiscard]] bool fits_at(std::size_t pos, std::uint32_t slot) const {
+    std::size_t left = pos;
+    while (left > 0 && by_offset_[left - 1] == kHole) {
+      if (pos - left == kMaxHoleSkip) return false;
+      --left;
+    }
+    if (left > 0 && !slot_less(by_offset_[left - 1], slot)) return false;
+    std::size_t right = pos + 1;
+    while (right < by_offset_.size() && by_offset_[right] == kHole) {
+      if (right - pos > kMaxHoleSkip) return false;
+      ++right;
+    }
+    return right >= by_offset_.size() || slot_less(slot, by_offset_[right]);
+  }
+  void punch_hole(std::size_t pos) {
+    by_offset_[pos] = kHole;
+    first_hole_ = holes_ == 0 ? pos : std::min(first_hole_, pos);
+    last_hole_ = holes_ == 0 ? pos : std::max(last_hole_, pos);
+    ++holes_;
+  }
+  void enqueue(std::uint32_t slot) {
+    if (!pending_.empty() && !slot_less(pending_.back(), slot)) {
+      pending_sorted_ = false;
+    }
+    index_pos_[slot] = kQueued | static_cast<std::uint32_t>(pending_.size());
+    pending_.push_back(slot);
+  }
+  /// Makes by_offset_ exact again (no hole, nothing pending).  Free when
+  /// the index is already exact, which it always is between updates.
+  void settle() const {
+    if (holes_ != 0 || !pending_.empty()) repair_order();
+  }
+  void repair_order() const;
 
   [[nodiscard]] PlacedItem placed(std::uint32_t slot) const {
     return PlacedItem{ids_[slot], offsets_[slot], sizes_[slot],
@@ -252,14 +267,20 @@ class SlabStore final : public LayoutStore {
   std::vector<Tick> sizes_;
   std::vector<Tick> extents_;
 
-  std::vector<ItemId> map_keys_;          ///< kNoItem = empty bucket
-  std::vector<std::uint32_t> map_slots_;  ///< parallel to map_keys_
+  FlatIdMap<std::uint32_t> slot_;  ///< id -> slot
 
-  std::vector<std::uint32_t> by_offset_;
-  std::vector<std::uint32_t> index_pos_;  ///< slot -> position in by_offset_
-  /// Scratch for apply_run: slots the current partial run moved, in run
-  /// order.  Holds no state between calls.
-  std::vector<std::uint32_t> run_moved_;
+  // The order index.  Mutable because settle() repairs it lazily from
+  // const ordered queries inside an update; between updates it is exact
+  // and no const method writes it.
+  mutable std::vector<std::uint32_t> by_offset_;  ///< kHole = vacated
+  mutable std::vector<std::uint32_t> index_pos_;  ///< slot -> position
+  mutable std::vector<std::uint32_t> pending_;    ///< slots out of order
+  /// pending_ is in (offset, id) order; cleared when an append, a
+  /// swap-with-last erase or a queued slot's move may have broken it.
+  mutable bool pending_sorted_ = true;
+  mutable std::size_t holes_ = 0;
+  mutable std::size_t first_hole_ = 0;  ///< valid while holes_ > 0
+  mutable std::size_t last_hole_ = 0;   ///< valid while holes_ > 0
 
   Tick live_mass_ = 0;
   Tick extent_mass_ = 0;

@@ -377,19 +377,26 @@ void eval_tval(const BenchFile& f, Checker& c, std::string& headline) {
              std::to_string(largest_n);
 }
 
+/// {validated, release} updates/sec of an engine-throughput record; 0
+/// for a missing row.
+std::pair<double, double> engine_rates(const Json& rec) {
+  std::pair<double, double> rates{0.0, 0.0};
+  for (const auto& [key, row] : rec.at("rows").items()) {
+    (void)key;
+    const double rate = row.at("updates_per_second").as_double();
+    if (row.at("engine").as_string() == "validated") rates.first = rate;
+    if (row.at("engine").as_string() == "release") rates.second = rate;
+  }
+  return rates;
+}
+
 // T-REL — the unchecked release engine delivers the promised speedup over
-// the validated engine on the S = 1 single-thread head-to-head.
+// the validated engine on the S = 1 single-thread head-to-head, and is no
+// slower than it on COMBINED, where the store's order upkeep is the work.
 void eval_trel(const BenchFile& f, Checker& c, std::string& headline) {
   const Json* rec = require_series(f, "engine-throughput", c);
   if (rec == nullptr) return;
-  double validated = 0;
-  double release = 0;
-  for (const auto& [key, row] : rec->at("rows").items()) {
-    (void)key;
-    const double rate = row.at("updates_per_second").as_double();
-    if (row.at("engine").as_string() == "validated") validated = rate;
-    if (row.at("engine").as_string() == "release") release = rate;
-  }
+  const auto [validated, release] = engine_rates(*rec);
   if (validated <= 0 || release <= 0) {
     c.fail("engine-throughput: need validated and release rows with "
            "positive updates/sec");
@@ -404,6 +411,13 @@ void eval_trel(const BenchFile& f, Checker& c, std::string& headline) {
               " >= " + num(bar, 1) + "x at S = 1" +
               (f.fast_mode ? " (fast mode)" : ""));
   headline = num(speedup, 3) + "x release over validated";
+  const Json* combined = require_series(f, "engine-throughput/combined", c);
+  if (combined == nullptr) return;
+  const auto [combined_validated, combined_release] = engine_rates(*combined);
+  c.check(combined_validated > 0 && combined_release >= combined_validated,
+          "COMBINED release " + num(combined_release, 6) +
+              " >= validated " + num(combined_validated, 6) +
+              " updates/s at S = 1");
 }
 
 // T-ARENA — the byte-addressed arena layer: every (allocator, engine)
@@ -655,7 +669,8 @@ const std::vector<ClaimRule>& claim_rules() {
        eval_tval},
       {{"T-REL", "Release engine throughput", "shard", "repo trajectory",
         "the unchecked slab fast path sustains >= 10x validated "
-        "updates/sec at S = 1 (>= 5x in fast mode)"},
+        "updates/sec at S = 1 (>= 5x in fast mode), and is no slower "
+        "than the validated engine on COMBINED"},
        eval_trel},
       {{"T-ARENA", "Byte-addressed arena", "arena", "repo trajectory",
         "arena-backed cells reproduce the tick cost channel exactly, "

@@ -1,11 +1,12 @@
 // Open-addressed id -> value map for allocator bookkeeping hot paths.
 //
 // The node-based std::unordered_map costs a pointer chase plus a modulo
-// per operation; on per-move bookkeeping (SimpleAllocator's id -> layout
-// position map) that is the dominant shared cost between the validated
-// and release engines.  This table is the same design as SlabStore's id
-// map: power-of-two buckets, SplitMix64-finalized keys, linear probing,
-// backward-shift deletion (no tombstones).
+// per operation; on per-move bookkeeping that is the dominant cost.  This
+// is the repo's one open-addressed id table: SlabStore's id -> slot map,
+// SimpleAllocator's id -> layout position, GEO's id -> handle, the
+// sharded engine's placements and the arena's payload bookkeeping all use
+// it.  Power-of-two buckets, SplitMix64-finalized keys, linear probing
+// grown at 5/8 load, backward-shift deletion (no tombstones).
 //
 // Keys are ItemIds; kNoItem is reserved as the empty-bucket sentinel and
 // must never be inserted.

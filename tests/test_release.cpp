@@ -483,8 +483,9 @@ TEST(SlabStore, BatchedRunAndResetExtentsMatchPerItemSemantics) {
 }
 
 /// A SlabStore and a validating Memory driven by the same calls: Memory's
-/// apply_run is the per-item move_to loop, so it is the reference for the
-/// slab's batched run and its once-per-run order restoration.
+/// apply_run is the per-item move_to loop and its index is exact after
+/// every call, so it is the reference for the slab's batched runs and its
+/// deferred order repair (holes, the pending queue, settle()).
 class TwinStores {
  public:
   static constexpr Tick kCapacity = 1 << 20;
@@ -507,6 +508,12 @@ class TwinStores {
   void begin() {
     for (LayoutStore* s : stores()) s->begin_update(1, false);
   }
+  void place(ItemId id, Tick offset, Tick size) {
+    for (LayoutStore* s : stores()) s->place(id, offset, size);
+  }
+  void move(ItemId id, Tick offset) {
+    for (LayoutStore* s : stores()) s->move_to(id, offset);
+  }
   void remove(ItemId id) {
     for (LayoutStore* s : stores()) s->remove(id);
   }
@@ -520,21 +527,37 @@ class TwinStores {
     EXPECT_EQ(memory_.end_update(), slab_.end_update());
     memory_.audit();
     slab_.audit();
-    expect_same_layout(memory_, slab_, "twin snapshot");
+    compare_queries("twin");
+  }
+  /// Checks every ordered query, inside an update or between updates.
+  void compare_queries(const std::string& when) {
+    expect_same_layout(memory_, slab_, when + " snapshot");
+    EXPECT_EQ(describe(memory_.first_item()), describe(slab_.first_item()))
+        << when;
+    EXPECT_EQ(describe(memory_.last_item()), describe(slab_.last_item()))
+        << when;
+    EXPECT_EQ(memory_.gaps(), slab_.gaps()) << when;
     const Tick span = memory_.span_end();
     EXPECT_EQ(span, slab_.span_end());
     for (Tick at = 0; at <= span + 1; ++at) {
       EXPECT_EQ(describe(memory_.item_at(at)), describe(slab_.item_at(at)))
-          << "item_at " << at;
+          << when << " item_at " << at;
       EXPECT_EQ(describe(memory_.first_at_or_after(at)),
                 describe(slab_.first_at_or_after(at)))
-          << "first_at_or_after " << at;
+          << when << " first_at_or_after " << at;
+      EXPECT_EQ(describe(memory_.last_before(at)),
+                describe(slab_.last_before(at)))
+          << when << " last_before " << at;
     }
+    EXPECT_TRUE(memory_.items_in(0, span) == slab_.items_in(0, span))
+        << when << " items_in";
     for (const PlacedItem& p : memory_.snapshot()) {
       const auto a = memory_.neighbors_of(p.id);
       const auto b = slab_.neighbors_of(p.id);
-      EXPECT_EQ(describe(a.prev), describe(b.prev)) << "prev of " << p.id;
-      EXPECT_EQ(describe(a.next), describe(b.next)) << "next of " << p.id;
+      EXPECT_EQ(describe(a.prev), describe(b.prev))
+          << when << " prev of " << p.id;
+      EXPECT_EQ(describe(a.next), describe(b.next))
+          << when << " next of " << p.id;
     }
   }
 
@@ -613,6 +636,76 @@ TEST(SlabStore, PartialRunKeepingOrderOnlyCompacts) {
   t.run({4, 5, 6}, 20);
   t.end_and_compare();
   EXPECT_EQ(t.slab().offset_of(6), 40u);
+}
+
+TEST(SlabStore, QueuedSlotRemovedInTheSameUpdate) {
+  // Two mid-layout placements queue (neither is rightmost); removing the
+  // first one erases it from the pending queue by swap-with-last, which
+  // re-points the second one's queue index.  It is then moved while still
+  // queued and must land in order.
+  TwinStores t({0, 10, 40}, {10, 10, 10});
+  t.begin();
+  t.place(9, 20, 5);
+  t.place(8, 30, 5);
+  t.remove(9);
+  t.move(8, 25);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().item_count(), 4u);
+  EXPECT_EQ(t.slab().offset_of(8), 25u);
+}
+
+TEST(SlabStore, QueuedSlotRenumberedBySwapWithLast) {
+  // Item 3 holds the last record slot.  Its order-breaking move queues it;
+  // removing item 1 then moves item 3's record into slot 0, so the queue
+  // entry itself must be renumbered.
+  TwinStores t({0, 10, 40}, {10, 10, 10});
+  t.begin();
+  t.move(3, 0);
+  t.remove(1);
+  t.end_and_compare();
+  ASSERT_TRUE(t.slab().first_item().has_value());
+  EXPECT_EQ(t.slab().first_item()->id, 3u);
+}
+
+TEST(SlabStore, SlotMovedByTwoOverlappingRuns) {
+  // The first run reverses 4..6 and queues all three; the second run
+  // moves 4 and 6 back while they are still queued, which leaves the
+  // queue out of key order for the repair to sort.
+  TwinStores t({0, 10, 20, 30, 40, 50}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.run({6, 5, 4}, 30);
+  t.run({4, 5, 6}, 30);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(4), 30u);
+  EXPECT_EQ(t.slab().offset_of(6), 50u);
+  // Again, but the second run also swaps two settled slots (3 and 2) and
+  // leaves 4 where the first run put it.
+  t.begin();
+  t.run({6, 5, 4}, 30);
+  t.run({3, 2, 5, 6, 4}, 10);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(3), 10u);
+  EXPECT_EQ(t.slab().offset_of(5), 30u);
+  EXPECT_EQ(t.slab().offset_of(4), 50u);
+}
+
+TEST(SlabStore, OrderedQueryMidUpdateSettlesThenMutationsContinue) {
+  // A mid-layout placement queues, and moving it while queued keeps it
+  // there; an ordered query inside the update must see it in place.  The
+  // update then goes on: an order-breaking move leaves a hole, a removal
+  // another, and a second query settles again before the update closes.
+  TwinStores t({0, 10, 40, 60}, {10, 10, 10, 10});
+  t.begin();
+  t.place(9, 20, 5);
+  t.move(9, 50);
+  t.compare_queries("after a queued placement");
+  t.move(1, 25);
+  t.remove(2);
+  t.place(7, 0, 5);
+  t.compare_queries("after a hole and a removal");
+  t.move(9, 10);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().item_count(), 5u);
 }
 
 TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {

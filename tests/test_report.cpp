@@ -416,9 +416,11 @@ TEST(Markdown, DanglingBeginMarkerThrows) {
 
 // -- release-engine claim (T-REL) and throughput floor --------------------
 
-/// "engine-throughput" series record: one row per (engine, rate) pair.
+/// "engine-throughput" series record (or its COMBINED sibling): one row
+/// per (engine, rate) pair.
 Json engine_throughput_record(
-    const std::vector<std::pair<std::string, double>>& rates) {
+    const std::vector<std::pair<std::string, double>>& rates,
+    const std::string& series = "engine-throughput") {
   Json rows = Json::array();
   for (const auto& [engine, rate] : rates) {
     Json row = Json::object();
@@ -431,7 +433,7 @@ Json engine_throughput_record(
   Json rec = Json::object();
   rec.set("kind", "engine_throughput")
       .set("claim", "T-REL")
-      .set("series", "engine-throughput")
+      .set("series", series)
       .set("rows", std::move(rows));
   return rec;
 }
@@ -458,8 +460,11 @@ TEST(Verdict, ReleaseClaimPassesAtFastModeBar) {
   Json records = Json::array();
   // 6x beats the fast-mode bar of 5x (write_bench_file sets
   // fast_mode = true).
-  records.push(
-      engine_throughput_record({{"validated", 100000.0}, {"release", 600000.0}}));
+  records.push(engine_throughput_record(
+      {{"validated", 100000.0}, {"release", 600000.0}}));
+  records.push(engine_throughput_record(
+      {{"validated", 4000.0}, {"release", 40000.0}},
+      "engine-throughput/combined"));
   write_bench_file(dir.path, "shard", std::move(records));
   const auto rs =
       report::evaluate_claims(report::load_bench_dir(dir.path.string()));
@@ -472,12 +477,49 @@ TEST(Verdict, ReleaseClaimPassesAtFastModeBar) {
 TEST(Verdict, ReleaseClaimFailsBelowFastModeBar) {
   TempDir dir;
   Json records = Json::array();
-  records.push(
-      engine_throughput_record({{"validated", 100000.0}, {"release", 300000.0}}));
+  records.push(engine_throughput_record(
+      {{"validated", 100000.0}, {"release", 300000.0}}));
+  records.push(engine_throughput_record(
+      {{"validated", 4000.0}, {"release", 40000.0}},
+      "engine-throughput/combined"));
   write_bench_file(dir.path, "shard", std::move(records));
   const auto rs =
       report::evaluate_claims(report::load_bench_dir(dir.path.string()));
   EXPECT_EQ(result_for(rs, "T-REL").status, Status::kFail);
+}
+
+TEST(Verdict, ReleaseClaimFailsWhenCombinedReleaseIsSlower) {
+  TempDir dir;
+  Json records = Json::array();
+  records.push(engine_throughput_record(
+      {{"validated", 100000.0}, {"release", 600000.0}}));
+  records.push(engine_throughput_record(
+      {{"validated", 900.0}, {"release", 326.0}},
+      "engine-throughput/combined"));
+  write_bench_file(dir.path, "shard", std::move(records));
+  const auto rs =
+      report::evaluate_claims(report::load_bench_dir(dir.path.string()));
+  const ClaimResult& r = result_for(rs, "T-REL");
+  EXPECT_EQ(r.status, Status::kFail);
+  ASSERT_FALSE(r.checks.empty());
+  EXPECT_NE(r.checks.back().find("COMBINED release"), std::string::npos)
+      << r.checks.back();
+}
+
+TEST(Verdict, ReleaseClaimFailsWithoutTheCombinedPair) {
+  TempDir dir;
+  Json records = Json::array();
+  records.push(engine_throughput_record(
+      {{"validated", 100000.0}, {"release", 600000.0}}));
+  write_bench_file(dir.path, "shard", std::move(records));
+  const auto rs =
+      report::evaluate_claims(report::load_bench_dir(dir.path.string()));
+  const ClaimResult& r = result_for(rs, "T-REL");
+  EXPECT_EQ(r.status, Status::kFail);
+  ASSERT_FALSE(r.checks.empty());
+  EXPECT_NE(r.checks.back().find("engine-throughput/combined"),
+            std::string::npos)
+      << r.checks.back();
 }
 
 TEST(Verdict, ReleaseClaimFailsWithoutBothEngines) {
