@@ -54,13 +54,11 @@ void FolkloreCompact::insert(ItemId id, Tick size) {
 
 void FolkloreCompact::erase(ItemId id) {
   const std::size_t idx = index_of(*mem_, order_, id);
-  const Tick size = mem_->size_of(id);
   mem_->remove(id);
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(idx));
   if (waste() > mem_->eps_ticks() / 2) {
     compact();
   }
-  (void)size;
 }
 
 void FolkloreCompact::compact() {

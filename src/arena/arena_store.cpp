@@ -1,5 +1,6 @@
 #include "arena/arena_store.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -45,65 +46,132 @@ void ArenaStore::stage_insert(ItemId id, Tick size_bytes) {
 
 std::span<const unsigned char> ArenaStore::payload(ItemId id) const {
   const std::uint64_t addr = space_.byte_of(inner_->offset_of(id));
-  const Tick bytes = bytes_.at(id);
-  MEMREAL_CHECK(addr + bytes <= arena_.size());
-  return {arena_.data() + addr, static_cast<std::size_t>(bytes)};
+  const Tick bytes = bytes_of(id);
+  MEMREAL_CHECK(addr + bytes <= arena_size_);
+  return {arena_.get() + addr, static_cast<std::size_t>(bytes)};
 }
 
 void ArenaStore::ensure_arena(std::uint64_t byte_end) {
-  if (byte_end <= arena_.size()) return;
-  MEMREAL_CHECK_MSG(byte_end <= options_.max_arena_bytes,
+  if (byte_end <= arena_size_) return;
+  const std::uint64_t cap = options_.max_arena_bytes;
+  MEMREAL_CHECK_MSG(byte_end <= cap,
                     "arena placement ends at byte "
                         << byte_end << ", beyond the max_arena_bytes cap "
-                        << options_.max_arena_bytes
+                        << cap
                         << " (shrink the capacity or coarsen the granule)");
-  std::uint64_t grown = arena_.empty() ? 4096 : arena_.size();
-  while (grown < byte_end) grown *= 2;
-  if (grown > options_.max_arena_bytes) grown = options_.max_arena_bytes;
-  arena_.resize(static_cast<std::size_t>(grown));
-}
-
-void ArenaStore::gather(ItemId id, std::uint64_t src, Tick bytes) {
-  if (pending_idx_.contains(id)) return;
-  if (options_.verify_payloads) verify_at(id, src, bytes);
-  std::vector<unsigned char>& buf = new_pending_slot(id);
-  buf.resize(static_cast<std::size_t>(bytes));
-  std::memcpy(buf.data(), arena_.data() + src, static_cast<std::size_t>(bytes));
-}
-
-std::vector<unsigned char>& ArenaStore::new_pending_slot(ItemId id) {
-  const auto k = static_cast<std::uint32_t>(pending_used_);
-  if (pending_used_ == pending_data_.size()) {
-    pending_data_.emplace_back();
-    pending_ids_.push_back(id);
+  std::uint64_t grown = 0;
+  if (inner_->capacity() <= cap / space_.bytes_per_tick()) {
+    // The whole address space fits the cap: allocate it once.
+    grown = std::max(space_.byte_of(inner_->capacity()), byte_end);
   } else {
-    pending_ids_[pending_used_] = id;
+    grown = arena_size_ == 0 ? 4096 : arena_size_;
+    while (grown < byte_end) grown *= 2;
+    grown = std::min(grown, cap);
   }
-  ++pending_used_;
-  pending_idx_[id] = k;
-  std::vector<unsigned char>& buf = pending_data_[k];
-  buf.clear();
-  return buf;
+  auto next = std::make_unique_for_overwrite<unsigned char[]>(
+      static_cast<std::size_t>(grown));
+  if (arena_size_ != 0) {
+    std::memcpy(next.get(), arena_.get(),
+                static_cast<std::size_t>(arena_size_));
+  }
+  arena_ = std::move(next);
+  arena_size_ = grown;
 }
 
-void ArenaStore::flush_pending() {
-  obs::ScopedSpan flush_span(obs::SpanPhase::kArenaFlush);
-  for (std::size_t k = 0; k < pending_used_; ++k) {
-    const ItemId id = pending_ids_[k];
-    if (id == kNoItem) continue;  // removed mid-update
-    const std::vector<unsigned char>& data = pending_data_[k];
-    const std::uint64_t dst = space_.byte_of(inner_->offset_of(id));
-    ensure_arena(dst + data.size());
-    std::memcpy(arena_.data() + dst, data.data(), data.size());
-    pending_idx_.erase(id);
+ArenaStore::Payload& ArenaStore::record(ItemId id) {
+  Payload* p = payloads_.find(id);
+  MEMREAL_CHECK_MSG(p != nullptr, "unknown item id " << id);
+  return *p;
+}
+
+void ArenaStore::charge(Tick bytes) {
+  bytes_in_update_ += bytes;
+  total_bytes_ += bytes;
+  ++moves_;
+  options_.metrics.on_move(bytes);
+}
+
+void ArenaStore::touch(ItemId id, Payload& p, std::uint64_t src) {
+  if (p.epoch == epoch_) return;
+  if (src != kFresh && options_.verify_payloads) verify_at(id, src, p.bytes);
+  p.epoch = epoch_;
+  p.slot = static_cast<std::uint32_t>(journal_.size());
+  journal_.push_back({id, src, 0, p.bytes});
+}
+
+void ArenaStore::stamp(ItemId id, std::uint64_t dst, Tick bytes) {
+  unsigned char* out = arena_.get() + dst;
+  std::uint64_t j = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::uint64_t w = mix(id);
+    for (; j + 8 <= bytes; j += 8) std::memcpy(out + j, &w, 8);
   }
-  pending_used_ = 0;
+  for (; j < bytes; ++j) out[j] = pattern_byte(id, j);
+}
+
+void ArenaStore::copy_movers() {
+  const auto by_source = [](const Touch& a, const Touch& b) {
+    return a.src < b.src;
+  };
+  if (!std::is_sorted(movers_.begin(), movers_.end(), by_source)) {
+    std::sort(movers_.begin(), movers_.end(), by_source);
+  }
+  bool in_order = true;
+  for (std::size_t k = 1; k < movers_.size() && in_order; ++k) {
+    in_order = movers_[k - 1].dst + movers_[k - 1].bytes <= movers_[k].dst;
+  }
+  unsigned char* a = arena_.get();
+  if (in_order) {
+    // Left movers ascending, right movers descending: each memmove may
+    // overwrite only sources that were already copied.
+    for (const Touch& m : movers_) {
+      if (m.dst < m.src) std::memmove(a + m.dst, a + m.src, m.bytes);
+    }
+    for (auto m = movers_.rbegin(); m != movers_.rend(); ++m) {
+      if (m->dst > m->src) std::memmove(a + m->dst, a + m->src, m->bytes);
+    }
+    return;
+  }
+  // A permutation: copy every source out before any destination is
+  // written.
+  Tick total = 0;
+  for (const Touch& m : movers_) total += m.bytes;
+  spill_.resize(static_cast<std::size_t>(total));
+  std::size_t at = 0;
+  for (const Touch& m : movers_) {
+    std::memcpy(spill_.data() + at, a + m.src, m.bytes);
+    at += m.bytes;
+  }
+  at = 0;
+  for (const Touch& m : movers_) {
+    std::memcpy(a + m.dst, spill_.data() + at, m.bytes);
+    at += m.bytes;
+  }
+}
+
+void ArenaStore::flush_journal() {
+  obs::ScopedSpan flush_span(obs::SpanPhase::kArenaFlush);
+  movers_.clear();
+  std::uint64_t end = 0;
+  for (Touch& t : journal_) {
+    if (t.id == kNoItem) continue;  // removed mid-update
+    t.dst = space_.byte_of(inner_->offset_of(t.id));
+    end = std::max(end, t.dst + t.bytes);
+    if (t.src != kFresh && t.src != t.dst) movers_.push_back(t);
+  }
+  ensure_arena(end);
+  copy_movers();
+  for (const Touch& t : journal_) {
+    if (t.id != kNoItem && t.src == kFresh) stamp(t.id, t.dst, t.bytes);
+  }
+  journal_.clear();
+  ++epoch_;
 }
 
 void ArenaStore::verify_at(ItemId id, std::uint64_t byte_addr,
                            Tick bytes) const {
   options_.metrics.on_verify(bytes);
-  const unsigned char* p = arena_.data() + byte_addr;
+  const unsigned char* p = arena_.get() + byte_addr;
   std::uint64_t j = 0;
   // The pattern repeats the little-endian bytes of mix(id), so aligned
   // 8-byte groups compare as one word; a mismatching word falls through
@@ -138,28 +206,33 @@ void ArenaStore::verify_at(ItemId id, std::uint64_t byte_addr,
 }
 
 void ArenaStore::verify_payload(ItemId id) const {
-  verify_at(id, space_.byte_of(inner_->offset_of(id)), bytes_.at(id));
+  verify_at(id, space_.byte_of(inner_->offset_of(id)), bytes_of(id));
 }
 
 void ArenaStore::verify_all_payloads() const {
   for (const PlacedItem& item : inner_->snapshot()) {
-    verify_at(item.id, space_.byte_of(item.offset), bytes_.at(item.id));
+    verify_at(item.id, space_.byte_of(item.offset), bytes_of(item.id));
   }
 }
 
 void ArenaStore::begin_update(Tick update_size, bool is_insert) {
   inner_->begin_update(update_size, is_insert);
   bytes_in_update_ = 0;
-  // A throwing end_update can leave a stale journal behind; drop it.
-  for (std::size_t k = 0; k < pending_used_; ++k) {
-    if (pending_ids_[k] != kNoItem) pending_idx_.erase(pending_ids_[k]);
-  }
-  pending_used_ = 0;
+  // A flush that threw (a placement past max_arena_bytes) leaves its
+  // journal behind; drop it.
+  journal_.clear();
+  ++epoch_;
 }
 
 Tick ArenaStore::end_update() {
-  const Tick moved = inner_->end_update();
-  flush_pending();
+  Tick moved = 0;
+  try {
+    moved = inner_->end_update();
+  } catch (...) {
+    flush_journal();  // the inner store committed the layout it rejects
+    throw;
+  }
+  flush_journal();
   last_update_bytes_ = bytes_in_update_;
   return moved;
 }
@@ -181,72 +254,55 @@ void ArenaStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
     staged_id_ = kNoItem;
     staged_bytes_ = 0;
   }
-  bytes_[id] = bytes;
-  std::vector<unsigned char>& buf = new_pending_slot(id);
-  buf.resize(static_cast<std::size_t>(bytes));
-  std::uint64_t j = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    const std::uint64_t w = mix(id);
-    for (; j + 8 <= bytes; j += 8) std::memcpy(buf.data() + j, &w, 8);
-  }
-  for (; j < bytes; ++j) buf[j] = pattern_byte(id, j);
-  bytes_in_update_ += bytes;
-  total_bytes_ += bytes;
-  ++moves_;
-  options_.metrics.on_move(bytes);
-  if (!inner_->in_update()) flush_pending();
+  Payload& p = payloads_[id];
+  p = Payload{bytes, 0, 0};
+  touch(id, p, kFresh);
+  charge(bytes);
 }
 
 void ArenaStore::move_to(ItemId id, Tick offset) {
   const Tick old_offset = inner_->offset_of(id);
-  if (offset != old_offset) {
-    gather(id, space_.byte_of(old_offset), bytes_.at(id));
+  if (offset == old_offset) {
+    inner_->move_to(id, offset);  // free no-op, same as the inner store
+    return;
   }
+  Payload& p = record(id);
+  touch(id, p, space_.byte_of(old_offset));
   inner_->move_to(id, offset);
-  if (offset == old_offset) return;  // free no-op, same as the inner store
-  const Tick bytes = bytes_.at(id);
-  bytes_in_update_ += bytes;
-  total_bytes_ += bytes;
-  ++moves_;
-  options_.metrics.on_move(bytes);
-  if (!inner_->in_update()) flush_pending();
+  charge(p.bytes);
 }
 
 Tick ArenaStore::apply_run(std::span<const ItemId> ids, Tick offset) {
-  // Capture every payload (and verify it, if enabled) while all sources
-  // are still intact, then let the inner store run its own batched move
-  // so charges and layout are bit-identical to a plain cell.
-  std::vector<Tick> pre;
-  pre.reserve(ids.size());
+  // Journal (and verify) every source while the layout is still the
+  // pre-run one, then let the inner store run its own batched move so
+  // charges and layout are bit-identical to a plain cell.
+  run_pre_.clear();
   for (const ItemId id : ids) {
     const Tick at = inner_->offset_of(id);
-    pre.push_back(at);
-    gather(id, space_.byte_of(at), bytes_.at(id));
+    Payload& p = record(id);
+    touch(id, p, space_.byte_of(at));
+    run_pre_.emplace_back(at, p.bytes);
   }
   const Tick end = inner_->apply_run(ids, offset);
   for (std::size_t k = 0; k < ids.size(); ++k) {
-    if (inner_->offset_of(ids[k]) == pre[k]) continue;
-    const Tick bytes = bytes_.at(ids[k]);
-    bytes_in_update_ += bytes;
-    total_bytes_ += bytes;
-    ++moves_;
-    options_.metrics.on_move(bytes);
+    if (inner_->offset_of(ids[k]) != run_pre_[k].first) {
+      charge(run_pre_[k].second);
+    }
   }
-  if (!inner_->in_update()) flush_pending();
   return end;
 }
 
 void ArenaStore::remove(ItemId id) {
-  if (const std::uint32_t* slot = pending_idx_.find(id)) {
-    // Payload already captured (and verified) this update.
-    pending_ids_[*slot] = kNoItem;
-    pending_idx_.erase(id);
+  const Payload& p = record(id);
+  if (p.epoch == epoch_) {
+    // Journaled (and verified) this update: drop its entry.
+    journal_[p.slot].id = kNoItem;
   } else if (options_.verify_payloads) {
     // Not touched this update, so its arena bytes are still current.
     verify_payload(id);
   }
   inner_->remove(id);
-  bytes_.erase(id);
+  payloads_.erase(id);
 }
 
 void ArenaStore::audit() const {

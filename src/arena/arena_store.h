@@ -12,26 +12,42 @@
 //              pattern) and charges its byte size to the moved-bytes
 //              channel (writing the item's bytes, the byte analogue of
 //              place's tick charge)
-//   move_to  — captures the payload and charges its bytes; when payload
-//              verification is on, the fill pattern is checked as the
-//              payload is first read: the byte-level analogue of
-//              Memory's incremental validation.  A failed check means
-//              some move physically clobbered a live payload — exactly
-//              the class of bug tick space cannot see.
-//   apply_run — batch capture + charge (same charges as the inner
-//              store's batched version, per the LayoutStore contract).
+//   move_to  — journals the item's source address and charges its bytes;
+//              when payload verification is on, the fill pattern is
+//              checked the first time an update touches the item: the
+//              byte-level analogue of Memory's incremental validation.  A
+//              failed check means some move physically clobbered a live
+//              payload — exactly the class of bug tick space cannot see.
+//   apply_run — batch journal + charge (same charges as the inner store's
+//              batched version, per the LayoutStore contract).
 //   audit    — inner audit plus a full sweep verifying every live
 //              payload's pattern.
 //
-// Physical writes are transactional.  Allocators are free to route items
-// through transiently overlapping tick placements mid-update (the
-// validated Memory model only checks overlap at end_update), so an eager
-// memmove per move_to would clobber live payloads.  Instead every update
-// runs copy-out/copy-in: the first time an item is touched its payload
-// is gathered (and verified) into a pending buffer — fresh inserts stamp
-// straight into one — and end_update flushes every pending payload to
-// its final, provably disjoint byte address.  Charges stay per logical
-// operation, mirroring the tick cost channel exactly.
+// Physical writes are deferred to end_update.  Allocators are free to
+// route items through transiently overlapping tick placements mid-update
+// (the validated Memory model only checks overlap at end_update), so an
+// eager memmove per move_to would clobber live payloads.  Nothing writes
+// the arena between begin_update and end_update, so the update journal
+// holds just each touched item's source byte address (or a fresh mark
+// for an insert), verified on first touch.  end_update then copies each
+// moved payload once, inside the arena:
+//
+//   * When the movers' source order equals their destination order and
+//     their destinations are disjoint (every compaction slide), left
+//     movers are memmoved in ascending source order and right movers in
+//     descending order.  A left mover's destination can overlap only the
+//     sources of earlier left movers — already copied — and mirror-wise
+//     for right movers; left and right movers never overlap each other.
+//   * Any other update (a GEO or COMBINED rebuild permutes items) copies
+//     every source into one shared spill buffer, then out to its
+//     destination.
+//   * Fresh inserts are stamped straight at their final address, after
+//     the moves, so a stamp may reuse bytes a mover just vacated.
+//
+// The inner store commits an update's layout before validating it, so
+// the journal is flushed even when the inner end_update throws: the
+// bytes stay in step with the committed layout.  Charges stay per
+// logical operation, mirroring the tick cost channel exactly.
 //
 // Payload sizes: each item carries `size_bytes` with
 // ticks_for_bytes(size_bytes) == its tick size.  Drivers stage the byte
@@ -39,13 +55,17 @@
 // the engine's before_update hook); unstaged inserts default to
 // size * bytes_per_tick (tick-native).
 //
-// The arena grows lazily toward byte_of(capacity): placements only ever
-// land inside the span bound the inner store enforces, so the vector
-// tracks the high-water mark of actual placements, not the (possibly
-// astronomical) tick capacity.  `max_arena_bytes` is a hard sanity cap.
+// The arena is allocated once at byte_of(capacity) when that fits
+// `max_arena_bytes`, and is never zero-filled (only stamped and moved
+// payload bytes are ever read), so untouched pages cost nothing.  Larger
+// capacities grow the arena lazily: placements only ever land inside the
+// span bound the inner store enforces, so it tracks the high-water mark
+// of actual placements, not the (possibly astronomical) tick capacity.
+// `max_arena_bytes` is a hard sanity cap.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -58,12 +78,13 @@
 namespace memreal {
 
 struct ArenaOptions {
-  /// Verify the moved item's fill pattern after every memmove and every
-  /// live payload on audit().  Off = measure raw memmove bandwidth only.
+  /// Verify an item's fill pattern the first time each update touches it
+  /// (move or remove) and every live payload on audit().  Off = measure
+  /// raw copy bandwidth only.
   bool verify_payloads = true;
-  /// Hard cap on the lazily grown arena; a placement whose payload would
+  /// Hard cap on the arena's size; a placement whose payload would
   /// end beyond it throws InvariantViolation (use smaller capacities or a
-  /// coarser granule instead of letting the vector eat the host).
+  /// coarser granule instead of letting the arena eat the host).
   std::uint64_t max_arena_bytes = std::uint64_t{1} << 31;
   /// Byte-movement instruments (null pointers = off); mirrors the
   /// total_bytes_moved / payload_moves accounting plus verified bytes.
@@ -88,7 +109,9 @@ class ArenaStore final : public LayoutStore {
   void stage_insert(ItemId id, Tick size_bytes);
 
   /// Payload byte size of a live item.
-  [[nodiscard]] Tick bytes_of(ItemId id) const { return bytes_.at(id); }
+  [[nodiscard]] Tick bytes_of(ItemId id) const {
+    return payloads_.at(id).bytes;
+  }
   /// Current payload bytes of a live item (view into the arena).
   [[nodiscard]] std::span<const unsigned char> payload(ItemId id) const;
   /// Byte address of a live item.
@@ -135,9 +158,10 @@ class ArenaStore final : public LayoutStore {
     inner_->reset_extents(ids);
   }
   void remove(ItemId id) override;
-  // Payloads are gathered into pending buffers before the tick-space run
-  // is forwarded to the inner store; tick charges are the inner store's
-  // own, and each item whose offset changed is charged its bytes.
+  // Every item's source address is journaled (and verified) before the
+  // tick-space run is forwarded to the inner store; tick charges are the
+  // inner store's own, and each item whose offset changed is charged its
+  // bytes.
   Tick apply_run(std::span<const ItemId> ids, Tick offset) override;
 
   // -- Point queries (forwarded) --------------------------------------------
@@ -221,34 +245,52 @@ class ArenaStore final : public LayoutStore {
   }
 
  private:
-  /// Grows the arena so [0, byte_end) is addressable.
+  /// Per-item payload record; `slot` indexes the journal when `epoch` is
+  /// the current update's.
+  struct Payload {
+    Tick bytes = 0;
+    std::uint64_t epoch = 0;
+    std::uint32_t slot = 0;
+  };
+  /// One journal entry: a touched item and where its payload came from.
+  struct Touch {
+    ItemId id = kNoItem;    ///< kNoItem once removed mid-update
+    std::uint64_t src = 0;  ///< source byte address, or kFresh
+    std::uint64_t dst = 0;  ///< final byte address (set at flush)
+    Tick bytes = 0;
+  };
+  static constexpr std::uint64_t kFresh = ~std::uint64_t{0};
+
+  /// Makes [0, byte_end) addressable.
   void ensure_arena(std::uint64_t byte_end);
   void verify_at(ItemId id, std::uint64_t byte_addr, Tick bytes) const;
+  void charge(Tick bytes);
 
-  /// Captures (and, when verification is on, checks) the payload at
-  /// `src` into a pending buffer; no-op if already pending this update.
-  void gather(ItemId id, std::uint64_t src, Tick bytes);
-  /// Claims a pending buffer for `id`, reusing slot capacity across
-  /// updates; the returned buffer is empty.
-  std::vector<unsigned char>& new_pending_slot(ItemId id);
-  /// Writes every pending payload to its final byte address and empties
-  /// the journal.
-  void flush_pending();
+  /// Journals `id` (source address `src`, or kFresh) unless this update
+  /// already did; a first-touched move is verified at its source.
+  void touch(ItemId id, Payload& p, std::uint64_t src);
+  /// Writes every journaled payload to its final byte address (moves
+  /// first, then fresh stamps) and empties the journal.
+  void flush_journal();
+  /// Copies every mover's payload from its source to its destination.
+  void copy_movers();
+  void stamp(ItemId id, std::uint64_t dst, Tick bytes);
+  Payload& record(ItemId id);
 
   LayoutStore* inner_;
   ByteSpace space_;
   ArenaOptions options_;
 
-  std::vector<unsigned char> arena_;
-  FlatIdMap<Tick> bytes_;  ///< id -> payload byte size
+  std::unique_ptr<unsigned char[]> arena_;  ///< never zero-filled
+  std::uint64_t arena_size_ = 0;
+  FlatIdMap<Payload> payloads_;
 
-  // Pending-payload journal for the copy-out/copy-in transaction.  Slot
-  // k holds pending_ids_[k]'s payload; removed items tombstone their
-  // slot with kNoItem.  Buffers keep their capacity across updates.
-  FlatIdMap<std::uint32_t> pending_idx_;  ///< id -> journal slot
-  std::vector<ItemId> pending_ids_;
-  std::vector<std::vector<unsigned char>> pending_data_;
-  std::size_t pending_used_ = 0;
+  std::uint64_t epoch_ = 0;  ///< bumped by each begin_update and flush
+  std::vector<Touch> journal_;
+  // Scratch, capacity kept across updates.
+  std::vector<Touch> movers_;
+  std::vector<unsigned char> spill_;
+  std::vector<std::pair<Tick, Tick>> run_pre_;  ///< apply_run: (offset, bytes)
 
   ItemId staged_id_ = kNoItem;
   Tick staged_bytes_ = 0;

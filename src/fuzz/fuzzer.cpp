@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <optional>
 #include <sstream>
 
 #include "fuzz/corpus.h"
 #include "fuzz/generator.h"
 #include "fuzz/mutator.h"
+#include "mem/memory.h"
 #include "perfadv/zoo.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -129,6 +131,47 @@ void check_scenario_targets(const FuzzConfig& cfg,
   }
 }
 
+/// Every target's allocator must construct at its group's (eps,
+/// capacity); throws one line per misfit and its reason, so an infeasible
+/// campaign stops before its first iteration instead of midway.
+void check_constructible_targets(const FuzzConfig& cfg,
+                                 const std::vector<TargetGroup>& groups) {
+  std::ostringstream misfits;
+  std::size_t count = 0;
+  for (const TargetGroup& group : groups) {
+    for (const AllocatorInfo& info : group.members) {
+      try {
+        Memory mem(cfg.capacity, Eps::of(group.eps, cfg.capacity).ticks);
+        AllocatorParams params;
+        params.eps = group.eps;
+        params.delta = group.delta;
+        (void)make_allocator(info.name, mem, params);
+      } catch (const InvariantViolation& e) {
+        // The reason is the check's message, without its expression and
+        // source location.
+        std::string why = e.what();
+        if (const auto at = why.find(" — "); at != std::string::npos) {
+          why.erase(0, at + std::string(" — ").size());
+        }
+        misfits << "\n  " << info.name << " (eps " << group.eps
+                << "): " << why;
+        ++count;
+      }
+    }
+  }
+  if (count == 0) return;
+  const std::string capacity =
+      std::has_single_bit(cfg.capacity)
+          ? "2^" + std::to_string(std::countr_zero(cfg.capacity))
+          : std::to_string(cfg.capacity);
+  throw InvariantViolation(std::to_string(count) +
+                           " fuzz target(s) cannot run at capacity " +
+                           capacity +
+                           " (drop them from --allocators or raise "
+                           "--capacity-log2):" +
+                           misfits.str());
+}
+
 }  // namespace
 
 std::vector<AllocatorInfo> resolve_fuzz_targets(const FuzzConfig& cfg) {
@@ -153,6 +196,7 @@ FuzzSummary run_fuzz(const FuzzConfig& cfg) {
                         << cfg.engine << "' (validated, release, arena)");
   const std::vector<TargetGroup> groups =
       make_target_groups(resolve_fuzz_targets(cfg));
+  check_constructible_targets(cfg, groups);
   if (!cfg.scenario.empty()) check_scenario_targets(cfg, groups);
 
   std::vector<std::optional<FuzzFailure>> slots(cfg.iterations);

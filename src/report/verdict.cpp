@@ -469,6 +469,25 @@ void eval_tarena(const BenchFile& f, Checker& c, std::string& headline) {
   }
 }
 
+/// "; reps off [a, b] on [c, d] qps" from a metrics-overhead row's
+/// per-rep throughputs ("" for rows recorded without them): the spread
+/// tells a real overhead from a noisy host.
+std::string rep_spread(const Json& row) {
+  const Json* off = row.find("qps_off_reps");
+  const Json* on = row.find("qps_on_reps");
+  if (off == nullptr || on == nullptr) return "";
+  const auto list = [](const Json& reps) {
+    std::string out = "[";
+    for (const auto& [key, q] : reps.items()) {
+      (void)key;
+      if (out.size() > 1) out += ", ";
+      out += num(q.as_double(), 6);
+    }
+    return out + "]";
+  };
+  return "; reps off " + list(*off) + " on " + list(*on) + " qps";
+}
+
 // T-SERVE — the online serving layer: deterministic mode reproduces the
 // batch sharded engine bit-for-bit on every covered (allocator, engine)
 // pair, and the closed-loop load generator reports ordered latency
@@ -548,10 +567,11 @@ void eval_tserve(const BenchFile& f, Checker& c, std::string& headline) {
     for (const auto& [key, row] : overhead->at("rows").items()) {
       (void)key;
       const double ratio = row.at("ratio").as_double();
-      c.check(ratio >= bar,
-              "metrics-on saturation throughput is " + num(ratio, 4) +
-                  "x metrics-off (>= " + num(bar, 2) + " required" +
-                  (f.fast_mode ? ", fast mode)" : ")"));
+      std::string what = "metrics-on saturation throughput is " +
+                         num(ratio, 4) + "x metrics-off (>= " + num(bar, 2) +
+                         " required" + (f.fast_mode ? ", fast mode)" : ")");
+      if (ratio < bar) what += rep_spread(row);
+      c.check(ratio >= bar, what);
     }
   }
 }

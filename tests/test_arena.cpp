@@ -7,13 +7,15 @@
 //
 //   * bit-identical per-update tick costs and O(1) model counters,
 //   * bit-identical layouts at a periodic cadence and at run end,
-//   * payload stamps verifying after every memmove and on the final
-//     audit (a failed stamp means a move physically clobbered a live
-//     payload — the class of bug tick space cannot express),
+//   * payload stamps verifying on each update's first touch of an item
+//     and on the final audit (a failed stamp means a move physically
+//     clobbered a live payload — the class of bug tick space cannot
+//     express),
 //   * measured byte traffic inside the granule's rounding bound
 //       L * bpt - M * (bpt - 1) <= moved_bytes <= L * bpt.
 //
 // Plus: ByteSpace rounding, ArenaStore staging/corruption detection, the
+// end_update flush's copy ordering against a Memory twin, the
 // ArenaAllocator byte facade, the vm_heap generator, the versioned trace
 // format (v2 byte annotations, v1 back-compat, R expansion), sharded
 // arena runs, and the arena lockstep mode of the fuzz oracle.
@@ -33,6 +35,7 @@
 #include "fuzz/differential.h"
 #include "fuzz/fuzzer.h"
 #include "harness/cell.h"
+#include "mem/memory.h"
 #include "shard/sharded_engine.h"
 #include "testing.h"
 #include "util/check.h"
@@ -173,7 +176,7 @@ TEST(ArenaStore, CorruptionIsCaughtWhenTheVictimNextMoves) {
   const_cast<unsigned char&>(p[0]) ^= 0x01;
   cell.step(Update::erase(1, 3, 24));  // waste 3: no compaction yet
   cell.step(Update::erase(2, 3, 24));  // waste 6: still none
-  // waste 9 > 8: the compaction run gathers item 5 and verifies it.
+  // waste 9 > 8: the compaction run journals item 5 and verifies it.
   expect_throw_contains([&] { cell.step(Update::erase(3, 3, 24)); },
                         "payload");
 }
@@ -205,6 +208,185 @@ TEST(ArenaStore, MovedBytesChannelReachesRunStats) {
   EXPECT_EQ(stats.moved_bytes, cell.arena()->total_bytes_moved());
   // Per-update byte costs mirror the cumulative channel.
   EXPECT_EQ(cell.arena()->last_update_bytes(), 10u);
+}
+
+// -- The end_update flush, against a Memory twin ------------------------------
+//
+// An ArenaStore over a validating Memory and a plain Memory twin receive
+// the same calls; after each update the layouts must agree and every
+// payload, read at the twin's address, must hold its fill pattern byte
+// for byte.
+
+class ArenaTwin {
+ public:
+  ArenaTwin(Tick capacity, Tick eps_ticks)
+      : twin_(capacity, eps_ticks),
+        inner_(capacity, eps_ticks),
+        arena_(inner_, ByteSpace(8)) {}
+
+  ArenaStore& arena() { return arena_; }
+
+  void begin(Tick size, bool is_insert) {
+    twin_.begin_update(size, is_insert);
+    arena_.begin_update(size, is_insert);
+  }
+  /// Ends the update on both stores; returns whether they accepted it
+  /// (they must agree).
+  bool end() {
+    const auto accepted = [](LayoutStore& store) {
+      try {
+        store.end_update();
+        return true;
+      } catch (const InvariantViolation&) {
+        return false;
+      }
+    };
+    const bool twin_ok = accepted(twin_);
+    EXPECT_EQ(accepted(arena_), twin_ok);
+    return twin_ok;
+  }
+  void place(ItemId id, Tick offset, Tick size, Tick bytes = 0) {
+    twin_.place(id, offset, size);
+    arena_.stage_insert(id, bytes);
+    arena_.place(id, offset, size);
+  }
+  void move(ItemId id, Tick offset) {
+    twin_.move_to(id, offset);
+    arena_.move_to(id, offset);
+  }
+  void remove(ItemId id) {
+    twin_.remove(id);
+    arena_.remove(id);
+  }
+  /// One whole insert update placing `id`.
+  void insert(ItemId id, Tick offset, Tick size, Tick bytes = 0) {
+    begin(size, true);
+    place(id, offset, size, bytes);
+    ASSERT_TRUE(end());
+  }
+
+  void check(const std::string& where) {
+    testing::expect_same_layout(twin_, arena_, where);
+    for (const PlacedItem& item : twin_.snapshot()) {
+      ASSERT_EQ(arena_.address_of(item.id), item.offset * 8) << where;
+      const std::span<const unsigned char> p = arena_.payload(item.id);
+      for (std::uint64_t j = 0; j < p.size(); ++j) {
+        ASSERT_EQ(p[j], ArenaStore::pattern_byte(item.id, j))
+            << where << ": item " << item.id << " byte " << j;
+      }
+    }
+    arena_.verify_all_payloads();
+  }
+
+ private:
+  Memory twin_;
+  Memory inner_;
+  ArenaStore arena_;
+};
+
+TEST(ArenaFlush, LeftSlideOverlapsOwnAndPredecessorSources) {
+  // Each item slides 2 ticks left: its destination covers half its own
+  // source and half its predecessor's, so only ascending order is safe.
+  ArenaTwin t(64, 16);
+  t.insert(1, 2, 4, 32);
+  t.insert(2, 6, 4, 30);
+  t.insert(3, 10, 4, 32);
+  t.check("filled");
+  t.begin(4, false);
+  t.move(1, 0);
+  t.move(2, 4);
+  t.move(3, 8);
+  ASSERT_TRUE(t.end());
+  t.check("left slide");
+  EXPECT_EQ(t.arena().last_update_bytes(), 32u + 30u + 32u);
+}
+
+TEST(ArenaFlush, RightSlideNeedsDescendingOrder) {
+  ArenaTwin t(64, 16);
+  t.insert(1, 0, 4, 32);
+  t.insert(2, 4, 4, 27);
+  t.insert(3, 8, 4, 32);
+  t.begin(4, false);
+  // Moved in ascending order, as an allocator would; the flush must still
+  // copy the rightmost first.
+  t.move(1, 2);
+  t.move(2, 6);
+  t.move(3, 10);
+  ASSERT_TRUE(t.end());
+  t.check("right slide");
+}
+
+TEST(ArenaFlush, SwapTakesTheSpillPath) {
+  ArenaTwin t(64, 16);
+  t.insert(1, 0, 4, 31);
+  t.insert(2, 4, 2, 16);
+  t.begin(2, false);
+  t.move(1, 2);  // transiently overlaps item 2
+  t.move(2, 0);
+  ASSERT_TRUE(t.end());
+  t.check("swap");
+  EXPECT_EQ(t.arena().address_of(2), 0u);
+}
+
+TEST(ArenaFlush, FreshInsertLandsOnBytesAMoveVacated) {
+  ArenaTwin t(64, 16);
+  t.insert(1, 0, 4, 32);
+  t.insert(2, 4, 4, 32);
+  t.begin(4, true);
+  t.place(3, 0, 4, 29);  // over item 1's source, before it moves away
+  t.move(1, 8);
+  ASSERT_TRUE(t.end());
+  t.check("stamp over vacated");
+}
+
+TEST(ArenaFlush, TouchedThenRemovedInOneUpdate) {
+  ArenaTwin t(64, 16);
+  t.insert(1, 0, 4, 32);
+  t.insert(2, 4, 4, 32);
+  t.insert(3, 8, 4, 32);
+  t.begin(4, false);
+  t.move(1, 12);  // verified and journaled...
+  t.place(4, 16, 2);
+  t.remove(1);  // ...then dropped
+  t.remove(4);  // a fresh stamp dropped too
+  t.move(2, 0);
+  t.move(3, 4);
+  ASSERT_TRUE(t.end());
+  t.check("touched then removed");
+  EXPECT_FALSE(t.arena().contains(1));
+  EXPECT_FALSE(t.arena().contains(4));
+}
+
+TEST(ArenaFlush, ItemMovedTwiceBackToItsOrigin) {
+  ArenaTwin t(64, 16);
+  t.insert(1, 0, 4, 32);
+  t.insert(2, 4, 4, 25);
+  t.begin(4, false);
+  t.move(1, 8);
+  t.move(2, 12);
+  t.move(1, 0);  // home again: no copy, but both moves are charged
+  ASSERT_TRUE(t.end());
+  t.check("round trip");
+  EXPECT_EQ(t.arena().last_update_bytes(), 32u + 25u + 32u);
+}
+
+TEST(ArenaFlush, ThrowingEndUpdateThenCleanUpdate) {
+  ArenaTwin t(64, 4);
+  t.insert(1, 0, 4, 32);
+  // Span 44 > L + eps = 12: both stores reject the update at end_update,
+  // after committing its layout.
+  t.begin(4, true);
+  t.place(2, 40, 4, 26);
+  t.move(1, 4);
+  EXPECT_FALSE(t.end());
+  // The arena flushed anyway, so the next update's first touches verify
+  // against the committed layout.
+  t.begin(4, true);
+  t.move(2, 8);
+  t.move(1, 0);
+  t.place(3, 4, 4, 32);
+  ASSERT_TRUE(t.end());
+  t.check("after a throwing update");
 }
 
 // -- The tick-vs-byte differential over every registry allocator -------------

@@ -595,6 +595,26 @@ TEST(FuzzCampaign, CleanOnHealthyRegistrySmoke) {
   EXPECT_GE(summary.sequences, 24u);
 }
 
+TEST(FuzzCampaign, InfeasibleTargetsAreRejectedBeforeTheFirstIteration) {
+  FuzzConfig cfg;
+  cfg.capacity = Tick{1} << 20;  // too small for GEO's class geometry
+  cfg.allocators = {"simple", "geo"};
+  cfg.iterations = 1;
+  try {
+    (void)run_fuzz(cfg);
+    FAIL() << "expected the campaign to be rejected";
+  } catch (const InvariantViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 fuzz target(s) cannot run at capacity 2^20"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("\n  geo (eps 0.015625): capacity too small"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("simple"), std::string::npos) << what;
+  }
+}
+
 // -- Release-engine oracle mode ------------------------------------------
 
 TEST(ReleaseOracle, HealthyGroupPassesInLockstep) {

@@ -536,6 +536,67 @@ TEST(Verdict, ReleaseClaimFailsWithoutBothEngines) {
             std::string::npos);
 }
 
+/// "metrics-overhead" series record with one row; per-rep throughputs
+/// are recorded only when `reps` is set.
+Json serve_overhead_record(double ratio, bool reps) {
+  Json row = Json::object();
+  row.set("clients", std::uint64_t{8})
+      .set("qps_metrics_off", 100000.0)
+      .set("qps_metrics_on", 100000.0 * ratio)
+      .set("ratio", ratio);
+  if (reps) {
+    Json off = Json::array();
+    off.push(100000.0).push(61000.0).push(97000.0);
+    Json on = Json::array();
+    on.push(80000.0).push(79000.0).push(64000.0);
+    row.set("qps_off_reps", std::move(off)).set("qps_on_reps", std::move(on));
+  }
+  Json rows = Json::array();
+  rows.push(std::move(row));
+  Json rec = Json::object();
+  rec.set("kind", "serve_overhead")
+      .set("claim", "T-SERVE")
+      .set("series", "metrics-overhead")
+      .set("rows", std::move(rows));
+  return rec;
+}
+
+/// The T-SERVE metrics-overhead check line of a BENCH_serve.json holding
+/// only `record`.
+std::string serve_overhead_check(Json record) {
+  TempDir dir;
+  Json records = Json::array();
+  records.push(std::move(record));
+  write_bench_file(dir.path, "serve", std::move(records));
+  const auto rs =
+      report::evaluate_claims(report::load_bench_dir(dir.path.string()));
+  for (const std::string& line : result_for(rs, "T-SERVE").checks) {
+    if (line.find("metrics-on saturation") != std::string::npos) return line;
+  }
+  return "";
+}
+
+TEST(Verdict, ServeOverheadFailureShowsEveryRep) {
+  const std::string line =
+      serve_overhead_check(serve_overhead_record(0.8, true));
+  EXPECT_EQ(line.rfind("FAIL: ", 0), 0u) << line;
+  EXPECT_NE(line.find("; reps off [100000, 61000, 97000] on "
+                      "[80000, 79000, 64000] qps"),
+            std::string::npos)
+      << line;
+}
+
+TEST(Verdict, ServeOverheadPassAndRepLessRowsOmitTheSpread) {
+  const std::string pass =
+      serve_overhead_check(serve_overhead_record(0.9, true));
+  EXPECT_EQ(pass.rfind("ok: ", 0), 0u) << pass;
+  EXPECT_EQ(pass.find("reps"), std::string::npos) << pass;
+  const std::string old =
+      serve_overhead_check(serve_overhead_record(0.8, false));
+  EXPECT_EQ(old.rfind("FAIL: ", 0), 0u) << old;
+  EXPECT_EQ(old.find("reps"), std::string::npos) << old;
+}
+
 TEST(Floor, PassesWhenCurrentRatesHoldTheFloor) {
   TempDir base_dir, cur_dir;
   Json base = Json::array();

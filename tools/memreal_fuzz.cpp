@@ -43,9 +43,13 @@ constexpr const char* kUsage = R"(memreal_fuzz [options]
                      against a byte-backed arena cell, checking payload
                      integrity and the byte/tick rounding bound on top
                      (pair with a small --capacity-log2 — every tick is
-                     a real byte payload)
+                     a real byte payload — and restrict --allocators:
+                     at 2^20, simple,folklore-compact,folklore-windowed,
+                     rsum,discrete)
   --threads N        worker threads (default: all cores)
-  --capacity-log2 N  memory capacity 2^N ticks (default 40)
+  --capacity-log2 N  memory capacity 2^N ticks (default 40); a target
+                     whose allocator cannot be built at that capacity
+                     is rejected up front (exit 2), one line each
   --budget-slack X   multiplier on the registry cost budgets (default 1)
   --no-shrink        keep failing sequences unminimized
   --corpus DIR       persist shrunk reproducers under DIR

@@ -500,6 +500,8 @@ struct OverheadResult {
   double qps_off = 0;
   double qps_on = 0;
   double ratio = 0;
+  std::vector<double> off_reps;  ///< every rep's qps, in rep order
+  std::vector<double> on_reps;
 };
 
 double best_of(const std::vector<double>& v) {
@@ -516,8 +518,8 @@ OverheadResult measure_overhead(const Options& o, Tick shard_capacity,
                                 std::size_t reps, std::size_t point_base) {
   OverheadResult r;
   r.clients = *std::max_element(o.clients.begin(), o.clients.end());
-  std::vector<double> off;
-  std::vector<double> on;
+  std::vector<double>& off = r.off_reps;
+  std::vector<double>& on = r.on_reps;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     // Same point index for both arms = identical request streams, and
     // the arm order flips every rep so monotone drift (frequency
@@ -779,6 +781,14 @@ int run(const Options& o) {
           .set("qps_metrics_off", ov.qps_off)
           .set("qps_metrics_on", ov.qps_on)
           .set("ratio", ov.ratio);
+      // Every rep, so a failing ratio shows whether the host was noisy.
+      const auto reps_json = [](const std::vector<double>& qps) {
+        Json a = Json::array();
+        for (const double q : qps) a.push(q);
+        return a;
+      };
+      orow.set("qps_off_reps", reps_json(ov.off_reps))
+          .set("qps_on_reps", reps_json(ov.on_reps));
       Json orows = Json::array();
       orows.push(std::move(orow));
       Json orec = Json::object();
