@@ -32,7 +32,7 @@ namespace memreal::bench {
 namespace {
 
 // A real byte payload per tick: capacities far below the tick-only
-// benches so the lazily grown arena stays a few MB.
+// benches so the arena, which spans the whole capacity, stays a few MB.
 constexpr Tick kCap = Tick{1} << 20;
 constexpr double kEps = 1.0 / 32;
 constexpr Tick kBpt = 8;

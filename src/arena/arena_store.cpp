@@ -31,7 +31,19 @@ constexpr std::size_t kVerifyBlock = 256;
 
 ArenaStore::ArenaStore(LayoutStore& inner, ByteSpace space,
                        ArenaOptions options)
-    : inner_(&inner), space_(space), options_(options) {}
+    : inner_(&inner), space_(space), options_(options) {
+  const Tick capacity = inner_->capacity();
+  MEMREAL_CHECK_MSG(
+      capacity <= options_.max_arena_bytes / space_.bytes_per_tick(),
+      "a byte arena of " << capacity << " ticks at "
+                         << space_.bytes_per_tick()
+                         << " bytes per tick exceeds the max_arena_bytes cap "
+                         << options_.max_arena_bytes
+                         << " (shrink the capacity or the granule)");
+  arena_size_ = space_.byte_of(capacity);
+  arena_ = std::make_unique_for_overwrite<unsigned char[]>(
+      static_cast<std::size_t>(arena_size_));
+}
 
 unsigned char ArenaStore::pattern_byte(ItemId id, std::uint64_t j) {
   // The pattern is position-independent within the payload (indexed by j,
@@ -49,33 +61,6 @@ std::span<const unsigned char> ArenaStore::payload(ItemId id) const {
   const Tick bytes = bytes_of(id);
   MEMREAL_CHECK(addr + bytes <= arena_size_);
   return {arena_.get() + addr, static_cast<std::size_t>(bytes)};
-}
-
-void ArenaStore::ensure_arena(std::uint64_t byte_end) {
-  if (byte_end <= arena_size_) return;
-  const std::uint64_t cap = options_.max_arena_bytes;
-  MEMREAL_CHECK_MSG(byte_end <= cap,
-                    "arena placement ends at byte "
-                        << byte_end << ", beyond the max_arena_bytes cap "
-                        << cap
-                        << " (shrink the capacity or coarsen the granule)");
-  std::uint64_t grown = 0;
-  if (inner_->capacity() <= cap / space_.bytes_per_tick()) {
-    // The whole address space fits the cap: allocate it once.
-    grown = std::max(space_.byte_of(inner_->capacity()), byte_end);
-  } else {
-    grown = arena_size_ == 0 ? 4096 : arena_size_;
-    while (grown < byte_end) grown *= 2;
-    grown = std::min(grown, cap);
-  }
-  auto next = std::make_unique_for_overwrite<unsigned char[]>(
-      static_cast<std::size_t>(grown));
-  if (arena_size_ != 0) {
-    std::memcpy(next.get(), arena_.get(),
-                static_cast<std::size_t>(arena_size_));
-  }
-  arena_ = std::move(next);
-  arena_size_ = grown;
 }
 
 ArenaStore::Payload& ArenaStore::record(ItemId id) {
@@ -159,7 +144,12 @@ void ArenaStore::flush_journal() {
     end = std::max(end, t.dst + t.bytes);
     if (t.src != kFresh && t.src != t.dst) movers_.push_back(t);
   }
-  ensure_arena(end);
+  // A layout inside the capacity lies inside the arena; this guards the
+  // writes below against an inner store that placed beyond it.
+  MEMREAL_CHECK_MSG(end <= arena_size_,
+                    "arena placement ends at byte "
+                        << end << ", beyond the arena's " << arena_size_
+                        << " bytes");
   copy_movers();
   for (const Touch& t : journal_) {
     if (t.id != kNoItem && t.src == kFresh) stamp(t.id, t.dst, t.bytes);
@@ -218,8 +208,7 @@ void ArenaStore::verify_all_payloads() const {
 void ArenaStore::begin_update(Tick update_size, bool is_insert) {
   inner_->begin_update(update_size, is_insert);
   bytes_in_update_ = 0;
-  // A flush that threw (a placement past max_arena_bytes) leaves its
-  // journal behind; drop it.
+  // An update abandoned by a throw leaves its journal behind; drop it.
   journal_.clear();
   ++epoch_;
 }

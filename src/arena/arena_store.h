@@ -45,9 +45,13 @@
 //     the moves, so a stamp may reuse bytes a mover just vacated.
 //
 // The inner store commits an update's layout before validating it, so
-// the journal is flushed even when the inner end_update throws: the
-// bytes stay in step with the committed layout.  Charges stay per
-// logical operation, mirroring the tick cost channel exactly.
+// the journal is flushed even when the inner end_update throws.  When the
+// layout was rejected for a reason other than overlap (say, the
+// resizable span bound), the bytes stay in step with it; after an overlap
+// rejection the flush may write over live payloads, so the arena's
+// contents are undefined and a later verify may name an innocent item.
+// Charges stay per logical operation, mirroring the tick cost channel
+// exactly.
 //
 // Payload sizes: each item carries `size_bytes` with
 // ticks_for_bytes(size_bytes) == its tick size.  Drivers stage the byte
@@ -55,13 +59,11 @@
 // the engine's before_update hook); unstaged inserts default to
 // size * bytes_per_tick (tick-native).
 //
-// The arena is allocated once at byte_of(capacity) when that fits
-// `max_arena_bytes`, and is never zero-filled (only stamped and moved
-// payload bytes are ever read), so untouched pages cost nothing.  Larger
-// capacities grow the arena lazily: placements only ever land inside the
-// span bound the inner store enforces, so it tracks the high-water mark
-// of actual placements, not the (possibly astronomical) tick capacity.
-// `max_arena_bytes` is a hard sanity cap.
+// The arena is allocated once, at construction, to byte_of(capacity) —
+// every placement the inner store accepts lies inside it — and is never
+// zero-filled (only stamped and moved payload bytes are ever read), so
+// untouched pages cost nothing.  A capacity whose byte span exceeds
+// `max_arena_bytes` is rejected at construction.
 #pragma once
 
 #include <cstdint>
@@ -82,9 +84,9 @@ struct ArenaOptions {
   /// (move or remove) and every live payload on audit().  Off = measure
   /// raw copy bandwidth only.
   bool verify_payloads = true;
-  /// Hard cap on the arena's size; a placement whose payload would
-  /// end beyond it throws InvariantViolation (use smaller capacities or a
-  /// coarser granule instead of letting the arena eat the host).
+  /// Hard cap on the arena's size: constructing over a store whose
+  /// capacity spans more bytes throws InvariantViolation (use a smaller
+  /// capacity or granule instead of letting the arena eat the host).
   std::uint64_t max_arena_bytes = std::uint64_t{1} << 31;
   /// Byte-movement instruments (null pointers = off); mirrors the
   /// total_bytes_moved / payload_moves accounting plus verified bytes.
@@ -261,8 +263,6 @@ class ArenaStore final : public LayoutStore {
   };
   static constexpr std::uint64_t kFresh = ~std::uint64_t{0};
 
-  /// Makes [0, byte_end) addressable.
-  void ensure_arena(std::uint64_t byte_end);
   void verify_at(ItemId id, std::uint64_t byte_addr, Tick bytes) const;
   void charge(Tick bytes);
 
@@ -282,7 +282,7 @@ class ArenaStore final : public LayoutStore {
   ArenaOptions options_;
 
   std::unique_ptr<unsigned char[]> arena_;  ///< never zero-filled
-  std::uint64_t arena_size_ = 0;
+  std::uint64_t arena_size_ = 0;            ///< byte_of(capacity)
   FlatIdMap<Payload> payloads_;
 
   std::uint64_t epoch_ = 0;  ///< bumped by each begin_update and flush

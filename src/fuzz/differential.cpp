@@ -149,7 +149,8 @@ struct Lockstep {
   std::vector<Shadow> shadows;
 };
 
-Lockstep make_lockstep(const Sequence& seq, const FuzzTarget& target,
+Lockstep make_lockstep(Tick capacity, Tick eps_ticks,
+                       const FuzzTarget& target,
                        const DifferentialConfig& config) {
   CellConfig cell;
   cell.allocator = target.allocator;
@@ -157,21 +158,21 @@ Lockstep make_lockstep(const Sequence& seq, const FuzzTarget& target,
   cell.audit_every = config.audit_every;
   cell.check_invariants_every = config.check_invariants_every;
   Lockstep out;
-  out.reference = make_cell(seq.capacity, seq.eps_ticks, cell);
+  out.reference = make_cell(capacity, eps_ticks, cell);
   if (config.lockstep_release) {
     // The release shadow adds no allocator self-checks of its own: the
     // reference cell already runs them on the same decisions.
     CellConfig release = cell;
     release.engine = "release";
     release.check_invariants_every = 0;
-    out.shadows.push_back({make_cell(seq.capacity, seq.eps_ticks, release),
+    out.shadows.push_back({make_cell(capacity, eps_ticks, release),
                            FailureKind::kEngineDivergence, "release"});
   }
   if (config.lockstep_arena) {
     CellConfig arena = cell;
     arena.arena = true;
     arena.bytes_per_tick = config.arena_bytes_per_tick;
-    out.shadows.push_back({make_cell(seq.capacity, seq.eps_ticks, arena),
+    out.shadows.push_back({make_cell(capacity, eps_ticks, arena),
                            FailureKind::kArenaDivergence, "arena"});
   }
   return out;
@@ -187,7 +188,7 @@ std::optional<FailureReport> run_differential(
   std::vector<Lockstep> targets;
   targets.reserve(config.targets.size());
   for (const FuzzTarget& t : config.targets) {
-    targets.push_back(make_lockstep(seq, t, config));
+    targets.push_back(make_lockstep(seq.capacity, seq.eps_ticks, t, config));
   }
   const std::size_t layout_every =
       config.audit_every == 0 ? 64 : config.audit_every;
@@ -292,6 +293,12 @@ std::optional<FailureReport> run_differential(
     }
   }
   return std::nullopt;
+}
+
+void build_target_cells(Tick capacity, Tick eps_ticks,
+                        const FuzzTarget& target,
+                        const DifferentialConfig& config) {
+  (void)make_lockstep(capacity, eps_ticks, target, config);
 }
 
 }  // namespace memreal

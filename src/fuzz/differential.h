@@ -106,4 +106,11 @@ struct FailureReport {
 [[nodiscard]] std::optional<FailureReport> run_differential(
     const Sequence& seq, const DifferentialConfig& config);
 
+/// Builds, then discards, every cell run_differential runs for `target`
+/// at (capacity, eps_ticks): its reference cell and the shadows `config`
+/// asks for.  Throws InvariantViolation when one of them cannot be built.
+void build_target_cells(Tick capacity, Tick eps_ticks,
+                        const FuzzTarget& target,
+                        const DifferentialConfig& config);
+
 }  // namespace memreal

@@ -9,7 +9,6 @@
 #include "fuzz/corpus.h"
 #include "fuzz/generator.h"
 #include "fuzz/mutator.h"
-#include "mem/memory.h"
 #include "perfadv/zoo.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -131,45 +130,43 @@ void check_scenario_targets(const FuzzConfig& cfg,
   }
 }
 
-/// Every target's allocator must construct at its group's (eps,
-/// capacity); throws one line per misfit and its reason, so an infeasible
-/// campaign stops before its first iteration instead of midway.
+/// Every target's cells (its allocator, and the arena when the campaign
+/// locksteps one) must build at its group's (eps, capacity); throws one
+/// line per misfit and its reason, so an infeasible campaign stops before
+/// its first iteration instead of midway.
 void check_constructible_targets(const FuzzConfig& cfg,
                                  const std::vector<TargetGroup>& groups) {
-  std::ostringstream misfits;
-  std::size_t count = 0;
+  // A universal baseline joins every group, so the same line can come up
+  // more than once; each is listed once, in first-seen order.
+  std::vector<std::string> misfits;
   for (const TargetGroup& group : groups) {
-    for (const AllocatorInfo& info : group.members) {
+    const DifferentialConfig d = make_differential_config(group, cfg.seed, cfg);
+    const Tick eps_ticks = Eps::of(group.eps, cfg.capacity).ticks;
+    for (const FuzzTarget& target : d.targets) {
       try {
-        Memory mem(cfg.capacity, Eps::of(group.eps, cfg.capacity).ticks);
-        AllocatorParams params;
-        params.eps = group.eps;
-        params.delta = group.delta;
-        (void)make_allocator(info.name, mem, params);
+        build_target_cells(cfg.capacity, eps_ticks, target, d);
       } catch (const InvariantViolation& e) {
-        // The reason is the check's message, without its expression and
-        // source location.
-        std::string why = e.what();
-        if (const auto at = why.find(" — "); at != std::string::npos) {
-          why.erase(0, at + std::string(" — ").size());
+        std::ostringstream line;
+        line << "\n  " << target.allocator << " (eps " << group.eps
+             << "): " << e.reason();
+        if (std::find(misfits.begin(), misfits.end(), line.str()) ==
+            misfits.end()) {
+          misfits.push_back(line.str());
         }
-        misfits << "\n  " << info.name << " (eps " << group.eps
-                << "): " << why;
-        ++count;
       }
     }
   }
-  if (count == 0) return;
+  if (misfits.empty()) return;
   const std::string capacity =
       std::has_single_bit(cfg.capacity)
           ? "2^" + std::to_string(std::countr_zero(cfg.capacity))
           : std::to_string(cfg.capacity);
-  throw InvariantViolation(std::to_string(count) +
-                           " fuzz target(s) cannot run at capacity " +
-                           capacity +
-                           " (drop them from --allocators or raise "
-                           "--capacity-log2):" +
-                           misfits.str());
+  std::string message = std::to_string(misfits.size()) +
+                        " fuzz target(s) cannot run at capacity " + capacity +
+                        " (drop them from --allocators or change "
+                        "--capacity-log2):";
+  for (const std::string& line : misfits) message += line;
+  throw InvariantViolation(message);
 }
 
 }  // namespace

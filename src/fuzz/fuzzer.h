@@ -49,8 +49,9 @@ struct FuzzConfig {
   /// engine_names()); "arena" instead locksteps each target against a
   /// byte-backed arena cell (payload stamps, memmove traffic, rounding
   /// bound) and reports differences as arena-divergence.  Arena campaigns
-  /// should run at a much smaller capacity than the tick-only default —
-  /// the arena materially allocates the address space it places into.
+  /// need a much smaller capacity than the tick-only default — the arena
+  /// spans the whole capacity in bytes, and a campaign whose arena would
+  /// exceed ArenaOptions::max_arena_bytes is rejected before it starts.
   std::string engine = "validated";
   bool shrink = true;
   double budget_slack = 1.0;

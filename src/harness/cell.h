@@ -59,8 +59,9 @@ struct CellConfig {
   /// Byte-space granule: bytes per tick, also the arena's alignment and
   /// minimum allocation size (arena cells only).
   Tick bytes_per_tick = 8;
-  /// Verify payload fill patterns after every move and on audit (arena
-  /// cells only); disable to measure raw memmove bandwidth.
+  /// Verify an item's payload fill pattern the first time each update
+  /// touches it and on audit (arena cells only); disable to measure raw
+  /// memmove bandwidth.
   bool verify_payloads = true;
 
   /// Observability: when set, the cell registers per-cell instruments

@@ -6,9 +6,11 @@
 // users get a diagnosable failure rather than silent corruption).
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace memreal {
 
@@ -16,8 +18,20 @@ namespace memreal {
 /// invariant, ...) fails at runtime.
 class InvariantViolation : public std::logic_error {
  public:
-  explicit InvariantViolation(const std::string& what)
-      : std::logic_error(what) {}
+  /// `reason_at` indexes the start of the failed check's own message in
+  /// `what` (0: the whole text is the reason).
+  explicit InvariantViolation(const std::string& what,
+                              std::size_t reason_at = 0)
+      : std::logic_error(what), reason_at_(reason_at) {}
+
+  /// The check's streamed message, without the expression and source
+  /// location; the whole what() for a check that has no message.
+  [[nodiscard]] std::string_view reason() const {
+    return std::string_view(what()).substr(reason_at_);
+  }
+
+ private:
+  std::size_t reason_at_;
 };
 
 namespace detail {
@@ -25,8 +39,13 @@ namespace detail {
                                       int line, const std::string& msg) {
   std::ostringstream os;
   os << "invariant violated: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw InvariantViolation(os.str());
+  std::size_t reason_at = 0;
+  if (!msg.empty()) {
+    os << " — ";
+    reason_at = static_cast<std::size_t>(os.tellp());
+    os << msg;
+  }
+  throw InvariantViolation(os.str(), reason_at);
 }
 }  // namespace detail
 

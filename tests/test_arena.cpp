@@ -48,9 +48,9 @@
 namespace memreal {
 namespace {
 
-// Small enough that the lazily grown arena stays a few MB, large enough
-// that every registry band (rsum needs eps^{3/4} * capacity-sized items)
-// stays nondegenerate.
+// Small enough that the arena, which spans the capacity, stays a few MB;
+// large enough that every registry band (rsum needs eps^{3/4} *
+// capacity-sized items) stays nondegenerate.
 constexpr Tick kCap = Tick{1} << 20;
 
 void expect_throw_contains(const std::function<void()>& fn,
@@ -190,6 +190,24 @@ TEST(ArenaStore, VerifyPayloadsOffStillCountsBytes) {
   const_cast<unsigned char&>(p[0]) ^= 0x01;
   cell.audit();  // no payload sweep in bandwidth mode
   EXPECT_EQ(cell.arena()->total_bytes_moved(), 16u);
+}
+
+TEST(ArenaStore, ArenaSpansTheCapacityAndRejectsOneBeyondTheCap) {
+  ArenaOptions capped;
+  capped.max_arena_bytes = 1024 * 8;
+  Memory fits(1024, 1020);  // slack enough for a span of the whole capacity
+  ArenaStore arena(fits, ByteSpace(8), capped);
+  // The last granule of the capacity is addressable from the start.
+  arena.begin_update(4, true);
+  arena.place(1, 1020, 4);
+  arena.end_update();
+  EXPECT_EQ(arena.address_of(1), 1020u * 8);
+  arena.verify_all_payloads();
+
+  Memory too_big(1025, 16);
+  expect_throw_contains(
+      [&] { ArenaStore rejected(too_big, ByteSpace(8), capped); },
+      "exceeds the max_arena_bytes cap 8192");
 }
 
 TEST(ArenaStore, MovedBytesChannelReachesRunStats) {
@@ -925,6 +943,17 @@ TEST(ArenaFuzz, CampaignRunsCleanAtArenaScale) {
   EXPECT_TRUE(summary.ok())
       << summary.failures.front().report.message;
   EXPECT_EQ(summary.iterations, 2u);
+}
+
+TEST(ArenaFuzz, CampaignBeyondTheArenaCapIsRejectedUpFront) {
+  FuzzConfig cfg;  // the tick-only default capacity, 2^40
+  cfg.engine = "arena";
+  cfg.allocators = {"simple"};
+  expect_throw_contains(
+      [&] { (void)run_fuzz(cfg); },
+      "1 fuzz target(s) cannot run at capacity 2^40 (drop them from "
+      "--allocators or change --capacity-log2):\n  simple (eps 0.015625): "
+      "a byte arena of 1099511627776 ticks");
 }
 
 TEST(ArenaFuzz, UnknownEngineNamesArena) {

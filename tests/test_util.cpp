@@ -660,6 +660,22 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+TEST(Check, ReasonIsTheMessageAlone) {
+  try {
+    MEMREAL_CHECK_MSG(1 + 1 == 3, "context " << 42);
+    FAIL();
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.reason(), "context 42");
+  }
+  try {
+    MEMREAL_CHECK(1 + 1 == 3);
+    FAIL();
+  } catch (const InvariantViolation& e) {
+    // No message: the reason is the whole text.
+    EXPECT_EQ(e.reason(), e.what());
+  }
+}
+
 // -- FlatIdMap deletion churn ---------------------------------------------
 
 // FlatIdMap's own SplitMix64 finalizer, replicated so tests can craft

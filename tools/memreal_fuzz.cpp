@@ -48,8 +48,9 @@ constexpr const char* kUsage = R"(memreal_fuzz [options]
                      rsum,discrete)
   --threads N        worker threads (default: all cores)
   --capacity-log2 N  memory capacity 2^N ticks (default 40); a target
-                     whose allocator cannot be built at that capacity
-                     is rejected up front (exit 2), one line each
+                     whose cells cannot be built at that capacity (its
+                     allocator, or an arena over 2 GiB) is rejected up
+                     front (exit 2), one line each
   --budget-slack X   multiplier on the registry cost budgets (default 1)
   --no-shrink        keep failing sequences unminimized
   --corpus DIR       persist shrunk reproducers under DIR
