@@ -43,13 +43,12 @@ void run_tables() {
   BenchJson artifact("geo");
   artifact.set_seeds({1, 2, 3});
 
-  ComparisonConfig c;
-  c.allocators = {"folklore-compact", "geo"};
+  ExperimentConfig c;
   c.make_sequence = seq;
   c.eps_values = eps_values;
   c.seeds = 3;
   c.audit_every = 2048;
-  const auto result = run_comparison(c);
+  const auto result = run_comparison(c, {"folklore-compact", "geo"});
 
   std::cout << "\nMean cost per update (geo regime: log-uniform band below "
                "the huge threshold, 2% huge):\n";

@@ -32,14 +32,13 @@ void run_tables() {
   BenchJson artifact("simple");
   artifact.set_seeds({1, 2, 3});
 
-  ComparisonConfig c;
-  c.allocators = {"folklore-compact", "simple"};
+  ExperimentConfig c;
   c.make_sequence = [updates](double eps, std::uint64_t seed) {
     return make_simple_regime(kCap, eps, updates, seed);
   };
   c.eps_values = eps_values;
   c.seeds = 3;
-  const auto result = run_comparison(c);
+  const auto result = run_comparison(c, {"folklore-compact", "simple"});
 
   std::cout << "\nMean cost per update (churn, sizes in [eps, 2eps)):\n";
   result.cost_table().print(std::cout);

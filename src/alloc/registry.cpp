@@ -104,7 +104,13 @@ const std::vector<Entry>& builtin_entries() {
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    return std::make_unique<SimpleAllocator>(mem, p.eps);
                  }});
-    e.push_back({{"geo", geo_band, {16.0, 0.5}, 1.0 / 64, 0.0, false, true},
+    // GEO's class ladder starts at eps^5; above the eps where geo_band's
+    // floor sqrt(eps)/51200 meets it (~0.0898) the band would hand GEO
+    // items below its smallest class.
+    const double geo_max_eps =
+        std::pow(geo_band.lo_factor, 1.0 / (5.0 - geo_band.lo_pow));
+    e.push_back({{"geo", geo_band, {16.0, 0.5}, 1.0 / 64, 0.0, false, true,
+                  geo_max_eps},
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    GeoConfig c;
                    c.eps = p.eps;

@@ -62,7 +62,6 @@ class RSumAllocator final : public Allocator {
   [[nodiscard]] bool big_delta_mode() const { return big_delta_; }
   [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
   [[nodiscard]] std::size_t valid_blocks() const { return valid_count_; }
-  [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
   [[nodiscard]] std::size_t compat_checks() const { return compat_checks_; }
   [[nodiscard]] std::size_t compat_failures() const {
     return compat_failures_;

@@ -85,7 +85,6 @@ class TinySlabAllocator final : public Allocator {
 
   // -- introspection --------------------------------------------------------
   [[nodiscard]] std::size_t class_count() const { return extent_.size(); }
-  [[nodiscard]] Tick free_mass() const { return free_mass_; }
   [[nodiscard]] std::size_t compactions() const { return compactions_; }
   [[nodiscard]] Tick max_item_size() const { return max_size_; }
   [[nodiscard]] Tick min_item_size() const { return min_size_; }

@@ -102,7 +102,6 @@ class ArenaStore final : public LayoutStore {
 
   // -- Byte-space surface ---------------------------------------------------
 
-  [[nodiscard]] const ByteSpace& space() const { return space_; }
   [[nodiscard]] Tick bytes_per_tick() const { return space_.bytes_per_tick(); }
 
   /// Stages the byte size of the NEXT place of `id`.  size_bytes == 0

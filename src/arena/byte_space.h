@@ -37,39 +37,16 @@ class ByteSpace {
   }
 
   [[nodiscard]] Tick bytes_per_tick() const { return bytes_per_tick_; }
-  /// Alignment of every placed payload, in bytes (== the granule).
-  [[nodiscard]] Tick alignment() const { return bytes_per_tick_; }
-  /// Smallest allocatable payload, in bytes (one tick's worth).
-  [[nodiscard]] Tick min_allocation_bytes() const { return bytes_per_tick_; }
 
   /// Byte address of a tick offset.
   [[nodiscard]] std::uint64_t byte_of(Tick tick) const {
     return tick * bytes_per_tick_;
   }
 
-  /// Tick containing an aligned byte address; unaligned addresses are a
-  /// usage error (arena placements are always granule-aligned).
-  [[nodiscard]] Tick tick_of(std::uint64_t byte_addr) const {
-    MEMREAL_CHECK_MSG(byte_addr % bytes_per_tick_ == 0,
-                      "byte address " << byte_addr
-                                      << " is not aligned to the granule "
-                                      << bytes_per_tick_);
-    return byte_addr / bytes_per_tick_;
-  }
-
   /// Ticks needed to hold `bytes` (min-allocation rounding: never zero).
   [[nodiscard]] Tick ticks_for_bytes(std::uint64_t bytes) const {
     if (bytes == 0) return 1;
     return (bytes + bytes_per_tick_ - 1) / bytes_per_tick_;
-  }
-
-  /// `bytes` rounded up to a whole number of ticks.
-  [[nodiscard]] std::uint64_t align_up(std::uint64_t bytes) const {
-    return ticks_for_bytes(bytes) * bytes_per_tick_;
-  }
-
-  [[nodiscard]] bool aligned(std::uint64_t byte_addr) const {
-    return byte_addr % bytes_per_tick_ == 0;
   }
 
  private:

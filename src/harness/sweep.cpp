@@ -4,21 +4,15 @@
 
 namespace memreal {
 
-ComparisonResult run_comparison(const ComparisonConfig& c) {
-  MEMREAL_CHECK(!c.allocators.empty());
+ComparisonResult run_comparison(const ExperimentConfig& grid,
+                                const std::vector<std::string>& allocators) {
+  MEMREAL_CHECK(!allocators.empty());
   ComparisonResult out;
-  out.allocators = c.allocators;
-  out.rows.reserve(c.allocators.size());
-  for (const std::string& name : c.allocators) {
-    ExperimentConfig ec;
+  out.allocators = allocators;
+  out.rows.reserve(allocators.size());
+  ExperimentConfig ec = grid;
+  for (const std::string& name : allocators) {
     ec.allocator = name;
-    ec.make_sequence = c.make_sequence;
-    ec.eps_values = c.eps_values;
-    ec.seeds = c.seeds;
-    ec.delta = c.delta;
-    ec.incremental_validation = c.incremental_validation;
-    ec.audit_every = c.audit_every;
-    ec.threads = c.threads;
     out.rows.push_back(run_experiment(ec));
   }
   return out;

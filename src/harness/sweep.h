@@ -10,19 +10,6 @@
 
 namespace memreal {
 
-struct ComparisonConfig {
-  std::vector<std::string> allocators;
-  SequenceFactory make_sequence;
-  std::vector<double> eps_values;
-  std::size_t seeds = 3;
-  double delta = 0.0;
-  /// Incremental per-update validation plus a full-audit cadence (0 =
-  /// final audit only) — forwarded to every ExperimentConfig cell.
-  bool incremental_validation = true;
-  std::size_t audit_every = 0;
-  std::size_t threads = 0;
-};
-
 struct ComparisonResult {
   std::vector<std::string> allocators;
   std::vector<std::vector<EpsRow>> rows;  ///< [allocator][eps]
@@ -35,6 +22,9 @@ struct ComparisonResult {
   [[nodiscard]] Table exponent_table() const;
 };
 
-[[nodiscard]] ComparisonResult run_comparison(const ComparisonConfig& c);
+/// Runs `grid` (its allocator field ignored) once per allocator, on
+/// identical workloads.
+[[nodiscard]] ComparisonResult run_comparison(
+    const ExperimentConfig& grid, const std::vector<std::string>& allocators);
 
 }  // namespace memreal

@@ -1,7 +1,6 @@
 #include "lb/lower_bound.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "util/check.h"
 
@@ -57,19 +56,6 @@ Sequence make_lower_bound_sequence(const LowerBoundSpec& spec) {
         Update::insert(static_cast<ItemId>(spec.n + i), spec.s2));
   }
   return seq;
-}
-
-Tick min_additive_gap(const LowerBoundSpec& spec) {
-  Tick best = ~Tick{0};
-  for (std::size_t l1 = 0; l1 <= spec.n; ++l1) {
-    for (std::size_t l2 = 0; l2 <= spec.n; ++l2) {
-      if (l1 == 0 && l2 == 0) continue;
-      const auto a = static_cast<long long>(l1 * spec.s1);
-      const auto b = static_cast<long long>(l2 * spec.s2);
-      best = std::min(best, static_cast<Tick>(std::llabs(a - b)));
-    }
-  }
-  return best;
 }
 
 }  // namespace memreal

@@ -40,9 +40,4 @@ struct LowerBoundSpec {
 /// deleted in order); ids n+1..2n are the B's.
 [[nodiscard]] Sequence make_lower_bound_sequence(const LowerBoundSpec& spec);
 
-/// Checks the no-additive-structure property of (s1, s2) exhaustively over
-/// lambda in [0, n]^2 (test helper).  Returns the minimum |l1 s1 - l2 s2|
-/// over non-zero pairs.
-[[nodiscard]] Tick min_additive_gap(const LowerBoundSpec& spec);
-
 }  // namespace memreal

@@ -275,7 +275,8 @@ CellMetrics CellMetrics::create(MetricRegistry& reg,
   m.moved_ticks = reg.counter("memreal_cell_moved_ticks_total", labels);
   m.update_ticks = reg.counter("memreal_cell_update_ticks_total", labels);
   m.moved_bytes = reg.counter("memreal_cell_moved_bytes_total", labels);
-  m.cost = reg.histogram("memreal_cell_cost", labels);
+  m.moved_ticks_per_update =
+      reg.histogram("memreal_cell_moved_ticks_per_update", labels);
   m.realloc_ticks = reg.histogram("memreal_cell_realloc_ticks", labels);
   m.enabled = reg.enabled_flag();
   m.shard = labels.shard;

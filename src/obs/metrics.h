@@ -316,7 +316,7 @@ struct CellMetrics {
   Counter* moved_ticks = nullptr;
   Counter* update_ticks = nullptr;
   Counter* moved_bytes = nullptr;
-  Histogram* cost = nullptr;
+  Histogram* moved_ticks_per_update = nullptr;
   Histogram* realloc_ticks = nullptr;
   const std::atomic<bool>* enabled = nullptr;  // shared registry switch
   int shard = -1;  // trace-span label; -1 when unsharded
@@ -337,7 +337,7 @@ struct CellMetrics {
     moved_ticks->add_at(s, moved);
     update_ticks->add_at(s, update_size);
     if (bytes != 0) moved_bytes->add_at(s, bytes);
-    cost->record_unguarded(moved);
+    moved_ticks_per_update->record_unguarded(moved);
     realloc_ticks->record_unguarded(update_size);
   }
 };

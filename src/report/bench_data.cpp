@@ -124,21 +124,6 @@ const BenchFile* BenchSet::find(const std::string& bench) const {
   return it == by_bench.end() ? nullptr : &it->second;
 }
 
-std::vector<const Json*> BenchSet::records_for_claim(
-    const std::string& claim) const {
-  std::vector<const Json*> out;
-  for (const auto& [name, file] : by_bench) {
-    (void)name;
-    for (const Json* rec : file.records()) {
-      const Json* c = rec->find("claim");
-      if (c != nullptr && c->is_string() && c->as_string() == claim) {
-        out.push_back(rec);
-      }
-    }
-  }
-  return out;
-}
-
 BenchSet load_bench_dir(const std::string& dir) {
   namespace fs = std::filesystem;
   BenchSet set;

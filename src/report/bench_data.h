@@ -91,9 +91,6 @@ struct BenchSet {
   std::map<std::string, BenchFile> by_bench;
 
   [[nodiscard]] const BenchFile* find(const std::string& bench) const;
-  /// Records across all files whose "claim" equals `claim`, file order.
-  [[nodiscard]] std::vector<const Json*> records_for_claim(
-      const std::string& claim) const;
 };
 
 /// Loads every BENCH_*.json in `dir` (non-recursive).  Unreadable or

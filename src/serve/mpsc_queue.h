@@ -100,11 +100,6 @@ class MpscQueue {
     cv_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();

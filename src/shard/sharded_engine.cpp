@@ -71,23 +71,17 @@ ShardedEngine::ShardedEngine(const ShardedConfig& config)
   MEMREAL_CHECK_MSG(
       config.rebalance_threshold == 0.0 || config.rebalance_threshold >= 1.0,
       "rebalance_threshold must be 0 (off) or >= 1");
+  MEMREAL_CHECK_MSG(config.shard_index == -1,
+                    "shard_index is assigned per cell; leave it unset");
+  MEMREAL_CHECK_MSG(config.eps == config.params.eps,
+                    "eps " << config.eps << " disagrees with params.eps "
+                           << config.params.eps);
   const Tick eps_ticks = Eps::of(config.eps, config.shard_capacity).ticks;
   MEMREAL_CHECK_MSG(eps_ticks < config.shard_capacity,
                     "eps leaves no room for items in a shard");
   shard_budget_ = config.shard_capacity - eps_ticks;
 
-  CellConfig cell;
-  cell.engine = config.engine;
-  cell.allocator = config.allocator;
-  cell.params = config.params;
-  cell.incremental_validation = config.incremental_validation;
-  cell.audit_every = config.audit_every;
-  cell.check_invariants_every = config.check_invariants_every;
-  cell.arena = config.arena;
-  cell.bytes_per_tick = config.bytes_per_tick;
-  cell.verify_payloads = config.verify_payloads;
-  cell.metrics = config.metrics;
-  cell.workload_label = config.workload_label;
+  CellConfig cell = config;
   cells_.reserve(config.shards);
   for (std::size_t s = 0; s < config.shards; ++s) {
     cell.params.seed = shard_seed(config.params.seed, s);
@@ -111,12 +105,6 @@ std::size_t ShardedEngine::least_loaded() const {
     if (live_mass_[s] < live_mass_[best]) best = s;
   }
   return best;
-}
-
-std::size_t ShardedEngine::shard_of(ItemId id) const {
-  const std::size_t* s = placement_.find(id);
-  MEMREAL_CHECK_MSG(s != nullptr, "shard_of: item " << id << " is not live");
-  return *s;
 }
 
 std::optional<std::size_t> ShardedEngine::find_shard(ItemId id) const {

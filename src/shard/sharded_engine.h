@@ -57,18 +57,20 @@
 
 namespace memreal {
 
-struct ShardedConfig {
-  /// Cell store for every shard: "validated" or "release" (see
-  /// harness/cell.h).
-  std::string engine = "validated";
-  std::string allocator;   ///< registry name, used for every cell
-  AllocatorParams params;  ///< shard 0 runs params.seed verbatim; shard
-                           ///< s > 0 derives an independent stream from it
+/// A sharded run: every shard is a Cell built from the inherited
+/// CellConfig (engine, allocator, params, validation, arena and metrics
+/// knobs), plus the fields that only make sense across shards.  Shard 0
+/// runs params.seed verbatim; shard s > 0 derives an independent stream
+/// from it.  shard_index is per-cell state the engine assigns, so it must
+/// stay unset (-1) here.  With metrics set, the router also registers its
+/// fallback/migration/batch counters.
+struct ShardedConfig : CellConfig {
   std::size_t shards = 1;
   /// Per-cell geometry.  The global footprint is shards * shard_capacity;
   /// workloads for an S-shard run should be generated with that total
   /// capacity and item sizes in the allocator's band of *shard_capacity*.
   Tick shard_capacity = kDefaultCapacity;
+  /// Every cell's eps budget; must equal params.eps, the allocator's eps.
   double eps = 1.0 / 64;
   std::string router = "hash";  ///< see router.h for the policy names
   std::size_t threads = 0;      ///< 0 = all cores (capped at shards)
@@ -78,21 +80,6 @@ struct ShardedConfig {
   /// Live-mass imbalance ratio (max shard / mean) above which rebalance()
   /// runs after a batch; 0 disables, otherwise must be >= 1.
   double rebalance_threshold = 0.0;
-  // Per-cell validation knobs (CellConfig semantics).
-  bool incremental_validation = true;
-  std::size_t audit_every = 0;
-  std::size_t check_invariants_every = 0;
-  // Byte-space knobs (CellConfig semantics): arena = true backs every
-  // shard's cell with a real byte arena, so a sharded run reports the
-  // moved-bytes channel and verifies payload stamps.
-  bool arena = false;
-  Tick bytes_per_tick = 8;
-  bool verify_payloads = true;
-  /// Observability (CellConfig semantics): when set, every cell registers
-  /// per-shard instruments under {allocator, engine, shard, workload} and
-  /// the router registers fallback/migration/batch counters.
-  obs::MetricRegistry* metrics = nullptr;
-  std::string workload_label;
 };
 
 /// Aggregated statistics of a sharded run: the merged global RunStats plus
@@ -158,9 +145,7 @@ class ShardedEngine {
   [[nodiscard]] std::size_t shard_count() const { return cells_.size(); }
   /// The configured batch-pool size, whether or not run() has started it.
   [[nodiscard]] std::size_t thread_count() const { return threads_; }
-  /// Which shard a live item is placed on; throws for absent ids.
-  [[nodiscard]] std::size_t shard_of(ItemId id) const;
-  /// Non-throwing variant: nullopt when the item is not live.
+  /// Which shard a live item is placed on; nullopt when it is not live.
   [[nodiscard]] std::optional<std::size_t> find_shard(ItemId id) const;
   [[nodiscard]] LayoutStore& memory(std::size_t shard) {
     return cells_.at(shard)->memory();

@@ -124,9 +124,4 @@ std::optional<SubsetResult> subset_in_range_mitm(
   return std::nullopt;
 }
 
-bool has_subset_in_range(std::span<const Tick> values, Tick lo, Tick hi,
-                         std::optional<std::size_t> cardinality) {
-  return subset_in_range_mitm(values, lo, hi, cardinality).has_value();
-}
-
 }  // namespace memreal

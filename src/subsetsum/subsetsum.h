@@ -44,11 +44,4 @@ struct SubsetResult {
     std::span<const Tick> values, Tick lo, Tick hi,
     std::optional<std::size_t> cardinality = std::nullopt);
 
-/// True iff *some* subset (per the same contract) exists; convenience
-/// wrapper used by benches that only need the decision bit.
-[[nodiscard]] bool has_subset_in_range(std::span<const Tick> values, Tick lo,
-                                       Tick hi,
-                                       std::optional<std::size_t> cardinality =
-                                           std::nullopt);
-
 }  // namespace memreal

@@ -318,16 +318,6 @@ const Json& Json::at(const std::string& key) const {
   return *v;
 }
 
-const Json& Json::at(std::size_t index) const {
-  if (kind_ != Kind::kArray) kind_error("an array");
-  if (index >= children_.size()) {
-    throw JsonParseError("JSON array index " + std::to_string(index) +
-                         " out of range (size " +
-                         std::to_string(children_.size()) + ")");
-  }
-  return children_[index].second;
-}
-
 Json& Json::set(const std::string& key, Json value) {
   MEMREAL_CHECK_MSG(kind_ == Kind::kObject, "Json::set on a non-object");
   children_.emplace_back(key, std::move(value));

@@ -75,8 +75,6 @@ class Json {
   [[nodiscard]] const Json* find(const std::string& key) const;
   /// Object lookup that throws JsonParseError when `key` is absent.
   [[nodiscard]] const Json& at(const std::string& key) const;
-  /// Array element (bounds-checked).
-  [[nodiscard]] const Json& at(std::size_t index) const;
   /// Raw members: (key, value) for objects, ("", value) for arrays.
   [[nodiscard]] const std::vector<std::pair<std::string, Json>>& items()
       const {

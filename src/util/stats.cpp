@@ -64,24 +64,4 @@ double Quantiles::quantile(double q) {
   return xs_[lo] * (1.0 - frac) + xs_[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  MEMREAL_CHECK(hi > lo);
-  MEMREAL_CHECK(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long long>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<long long>(idx, 0,
-                              static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
 }  // namespace memreal

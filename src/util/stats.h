@@ -58,22 +58,4 @@ class Quantiles {
   bool sorted_ = false;
 };
 
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bucket.  Used by benches to show cost distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace memreal

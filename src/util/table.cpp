@@ -49,12 +49,6 @@ void Table::print(std::ostream& os) const {
   rule();
 }
 
-std::string Table::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
 std::string Table::num(double v, int digits) {
   std::ostringstream os;
   os << std::setprecision(digits) << v;

@@ -22,7 +22,6 @@ class Table {
   /// Renders with a header rule and right-aligned numeric-looking cells.
   void print(std::ostream& os) const;
 
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
 
   /// Formats a double with `digits` significant digits.

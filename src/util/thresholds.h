@@ -12,74 +12,13 @@
 //  * FLEXHASH's buffer rebuilds draw from (2M, 4M), and RSUM's rebuild
 //    threshold from (delta^-1/(8m), delta^-1/(6m)).
 //
-// Both schemes carry *overflow*: the excess above the crossed threshold
-// counts toward the next draw — exactly as the paper specifies ("waste from
-// the final delete ... overflows to count towards the next waste recovery
-// step").
+// Each allocator draws its own thresholds from its Rng; this header holds
+// the shared integer rounding.
 #pragma once
 
 #include <cstdint>
 
-#include "util/rng.h"
-#include "util/types.h"
-
 namespace memreal {
-
-/// Continuous accumulate-until-threshold scheme of Lemma 4.3.
-/// Thresholds are drawn uniformly from the half-open interval
-/// [half_window, window) where half_window = window/2.
-class ContinuousThreshold {
- public:
-  /// `window` is W in Lemma 4.3; thresholds are uniform in (W/2, W).
-  ContinuousThreshold(Tick window, Rng& rng);
-
-  /// Adds `amount` to the accumulator.  Returns true when the accumulated
-  /// total crosses the current threshold; in that case the overflow is
-  /// retained and a fresh threshold is drawn.
-  [[nodiscard]] bool add(Tick amount);
-
-  [[nodiscard]] Tick accumulated() const { return acc_; }
-  [[nodiscard]] Tick threshold() const { return threshold_; }
-  [[nodiscard]] Tick window() const { return window_; }
-
- private:
-  void resample();
-
-  Tick window_;
-  Rng* rng_;
-  Tick threshold_ = 0;
-  Tick acc_ = 0;
-};
-
-/// Discrete count-until-threshold scheme of Lemma 4.4.
-/// Thresholds are drawn uniformly from [ceil(N/4), ceil(N/3)] ∩ N.
-class CountThreshold {
- public:
-  CountThreshold(std::uint64_t n, Rng& rng);
-
-  /// Counts one event; true when the count reaches the threshold (the count
-  /// then resets to zero and a fresh threshold is drawn).
-  [[nodiscard]] bool tick();
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] std::uint64_t threshold() const { return threshold_; }
-
-  /// Lower/upper bounds of the sampling range (ceil(N/4), ceil(N/3)).
-  [[nodiscard]] std::uint64_t range_lo() const { return lo_; }
-  [[nodiscard]] std::uint64_t range_hi() const { return hi_; }
-
-  /// Forces a reset (used when a rebuild is "free": triggered by a
-  /// shallower level's rebuild, per Algorithm 2 line 12).
-  void reset_free();
-
- private:
-  void resample();
-
-  std::uint64_t lo_, hi_;
-  Rng* rng_;
-  std::uint64_t threshold_ = 0;
-  std::uint64_t count_ = 0;
-};
 
 /// ceil(a / b) for unsigned integers.
 [[nodiscard]] constexpr std::uint64_t ceil_div(std::uint64_t a,

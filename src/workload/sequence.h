@@ -82,9 +82,6 @@ class SequenceBuilder {
   [[nodiscard]] Tick bytes_at(std::size_t index) const {
     return live_[index].bytes;
   }
-  [[nodiscard]] ItemId id_at(std::size_t index) const {
-    return live_[index].id;
-  }
 
   [[nodiscard]] Sequence take();
 

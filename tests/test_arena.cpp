@@ -15,10 +15,10 @@
 //       L * bpt - M * (bpt - 1) <= moved_bytes <= L * bpt.
 //
 // Plus: ByteSpace rounding, ArenaStore staging/corruption detection, the
-// end_update flush's copy ordering against a Memory twin, the
-// ArenaAllocator byte facade, the vm_heap generator, the versioned trace
-// format (v2 byte annotations, v1 back-compat, R expansion), sharded
-// arena runs, and the arena lockstep mode of the fuzz oracle.
+// end_update flush's copy ordering against a Memory twin, the vm_heap
+// generator, the versioned trace format (v2 byte annotations, v1
+// back-compat, R expansion), sharded arena runs, and the arena lockstep
+// mode of the fuzz oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "alloc/registry.h"
-#include "arena/arena_allocator.h"
 #include "arena/arena_store.h"
 #include "arena/byte_space.h"
 #include "fuzz/differential.h"
@@ -73,21 +72,13 @@ TEST(ByteSpace, MinAllocationRounding) {
   EXPECT_EQ(s.ticks_for_bytes(8), 1u);
   EXPECT_EQ(s.ticks_for_bytes(9), 2u);
   EXPECT_EQ(s.ticks_for_bytes(16), 2u);
-  EXPECT_EQ(s.align_up(1), 8u);
-  EXPECT_EQ(s.align_up(8), 8u);
-  EXPECT_EQ(s.align_up(17), 24u);
-  EXPECT_EQ(s.min_allocation_bytes(), 8u);
-  EXPECT_EQ(s.alignment(), 8u);
 }
 
 TEST(ByteSpace, TickByteRoundTrip) {
   const ByteSpace s(64);
   EXPECT_EQ(s.byte_of(0), 0u);
   EXPECT_EQ(s.byte_of(3), 192u);
-  EXPECT_EQ(s.tick_of(192), 3u);
-  EXPECT_TRUE(s.aligned(128));
-  EXPECT_FALSE(s.aligned(129));
-  expect_throw_contains([&] { (void)s.tick_of(100); }, "not aligned");
+  EXPECT_EQ(s.ticks_for_bytes(s.byte_of(3)), 3u);
 }
 
 TEST(ByteSpace, RoundingBoundInequality) {
@@ -787,107 +778,6 @@ TEST(TraceVersioning, MalformedVersionLinesAreRejected) {
   expect_throw_contains(
       [] { (void)trace_from_string("V 2\nH 1024 0.0625 t\nB 8 extra\n"); },
       "trailing garbage");
-}
-
-// -- ArenaAllocator (the tt-metal-shaped byte facade) ------------------------
-
-ArenaAllocatorConfig small_adapter(const std::string& allocator) {
-  ArenaAllocatorConfig c;
-  c.allocator = allocator;
-  c.capacity_ticks = Tick{1} << 16;
-  c.bytes_per_tick = 8;
-  return c;
-}
-
-TEST(ArenaAllocator, AllocateReturnsAlignedStampedPayloads) {
-  ArenaAllocator aa(small_adapter("folklore-compact"));
-  EXPECT_EQ(aa.max_size_bytes(), (std::uint64_t{1} << 16) * 8);
-  EXPECT_EQ(aa.min_allocation_size(), 8u);
-  EXPECT_EQ(aa.alignment(), 8u);
-  EXPECT_EQ(aa.align(13), 16u);
-
-  const std::uint64_t need = aa.min_item_bytes() + 5;
-  const auto a = aa.allocate(need);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->size_bytes, need);
-  EXPECT_EQ(a->address % aa.alignment(), 0u);
-  EXPECT_EQ(aa.allocation_count(), 1u);
-  EXPECT_EQ(aa.allocated_bytes(), need);
-  const std::span<const unsigned char> p = aa.payload(a->id);
-  ASSERT_EQ(p.size(), need);
-  for (std::uint64_t j = 0; j < p.size(); ++j) {
-    ASSERT_EQ(p[j], ArenaStore::pattern_byte(a->id, j));
-  }
-  aa.audit();
-}
-
-TEST(ArenaAllocator, RejectsSizesOutsideTheServedBand) {
-  ArenaAllocator aa(small_adapter("simple"));
-  EXPECT_FALSE(aa.allocate(0).has_value());
-  if (aa.min_item_bytes() > 1) {
-    EXPECT_FALSE(aa.allocate(aa.min_item_bytes() - 1).has_value());
-  }
-  EXPECT_FALSE(aa.allocate(aa.max_item_bytes() + aa.alignment()).has_value());
-  EXPECT_EQ(aa.allocation_count(), 0u);
-}
-
-TEST(ArenaAllocator, DeallocateByCurrentAddress) {
-  ArenaAllocator aa(small_adapter("folklore-compact"));
-  const auto a = aa.allocate(aa.min_item_bytes());
-  const auto b = aa.allocate(aa.min_item_bytes());
-  ASSERT_TRUE(a && b);
-  aa.deallocate(aa.address_of(a->id));
-  EXPECT_EQ(aa.allocation_count(), 1u);
-  // The compacting policy may have moved b; its current address resolves.
-  aa.deallocate(aa.address_of(b->id));
-  EXPECT_EQ(aa.allocation_count(), 0u);
-  expect_throw_contains([&] { aa.deallocate(0); }, "");
-}
-
-TEST(ArenaAllocator, IdsAreStableWhileAddressesMove) {
-  ArenaAllocator aa(small_adapter("folklore-compact"));
-  const auto a = aa.allocate(aa.min_item_bytes() + 1);
-  const auto b = aa.allocate(aa.min_item_bytes() + 2);
-  ASSERT_TRUE(a && b);
-  aa.deallocate_id(a->id);  // compaction slides b down
-  EXPECT_EQ(aa.address_of(b->id), 0u);
-  const std::span<const unsigned char> p = aa.payload(b->id);
-  for (std::uint64_t j = 0; j < p.size(); ++j) {
-    ASSERT_EQ(p[j], ArenaStore::pattern_byte(b->id, j)) << "post-move";
-  }
-  aa.audit();
-}
-
-TEST(ArenaAllocator, AllocateAtAddressIsAttemptAndCheck) {
-  ArenaAllocator aa(small_adapter("folklore-compact"));
-  const auto a = aa.allocate(aa.min_item_bytes());
-  ASSERT_TRUE(a.has_value());
-  // folklore-compact appends at the span end: the tail range's start is
-  // exactly where the next allocation will land.
-  const auto ranges = aa.available_addresses(aa.min_item_bytes());
-  ASSERT_FALSE(ranges.empty());
-  const std::uint64_t tail = ranges.back().first;
-  const auto hit = aa.allocate_at_address(tail, aa.min_item_bytes());
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->address, tail);
-  // Asking for any other aligned address must roll back cleanly.
-  const std::size_t before = aa.allocation_count();
-  const auto miss = aa.allocate_at_address(
-      tail + 64 * aa.alignment(), aa.min_item_bytes());
-  EXPECT_FALSE(miss.has_value());
-  EXPECT_EQ(aa.allocation_count(), before);
-  aa.audit();
-}
-
-TEST(ArenaAllocator, ClearFreesEverything) {
-  ArenaAllocator aa(small_adapter("folklore-compact"));
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(aa.allocate(aa.min_item_bytes()).has_value());
-  }
-  aa.clear();
-  EXPECT_EQ(aa.allocation_count(), 0u);
-  EXPECT_EQ(aa.allocated_bytes(), 0u);
-  EXPECT_GT(aa.stats().moved_bytes, 0u);
 }
 
 // -- Sharded arena runs ------------------------------------------------------

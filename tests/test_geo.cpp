@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "alloc/geo.h"
+#include "alloc/registry.h"
 #include "mem/memory.h"
 #include "testing.h"
 #include "util/rng.h"
@@ -172,6 +174,28 @@ TEST(Geo, CapacityResolutionGuard) {
   GeoConfig c;
   c.eps = 1.0 / 64;
   EXPECT_THROW(GeoAllocator(mem, c), InvariantViolation);
+}
+
+// The registry's GEO band starts at sqrt(eps)/51200 of capacity, GEO's
+// class ladder at eps^5.  Up to the registry's eps ceiling every size the
+// band admits has a class; past it serves() rejects the configuration.
+TEST(Geo, RegistryBandStaysAboveTheClassFloor) {
+  const AllocatorInfo info = allocator_info("geo");
+  for (const Tick cap : {Tick{1} << 22, Tick{1} << 30, Tick{1} << 40}) {
+    for (const double eps : {1.0 / 16, 0.07, info.max_eps}) {
+      Memory mem = testing::strict_memory(cap, eps);
+      GeoAllocator geo = make_geo(mem, eps);
+      EXPECT_NO_THROW((void)geo.class_of_size(info.sizes.min_size(eps, cap)))
+          << "eps " << eps << " capacity " << cap;
+    }
+    WorkloadShape shape;
+    shape.min_size = info.sizes.min_size(1.0 / 8, cap);
+    shape.max_size = info.sizes.max_size(1.0 / 8, cap) - 1;
+    std::string why;
+    EXPECT_FALSE(info.serves(shape, 1.0 / 8, cap, &why));
+    EXPECT_NE(why.find("beyond the supported ceiling"), std::string::npos)
+        << why;
+  }
 }
 
 TEST(Geo, LevelItemCountsAreNested) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "harness/experiment.h"
 #include "harness/sweep.h"
@@ -81,17 +82,18 @@ TEST(Harness, TableRendering) {
   rows[0].mean_cost = 3.5;
   const Table t = rows_table("folklore-compact", rows);
   EXPECT_EQ(t.rows(), 1u);
-  EXPECT_NE(t.to_string().find("folklore-compact"), std::string::npos);
+  std::ostringstream os;
+  t.print(os);
+  EXPECT_NE(os.str().find("folklore-compact"), std::string::npos);
 }
 
 TEST(Harness, ComparisonProducesTables) {
-  ComparisonConfig c;
-  c.allocators = {"folklore-compact", "simple"};
+  ExperimentConfig c;
   c.make_sequence = simple_factory(200);
   c.eps_values = {1.0 / 8, 1.0 / 16, 1.0 / 32};
   c.seeds = 1;
   c.audit_every = 128;
-  const auto result = run_comparison(c);
+  const auto result = run_comparison(c, {"folklore-compact", "simple"});
   ASSERT_EQ(result.rows.size(), 2u);
   const Table cost = result.cost_table();
   EXPECT_EQ(cost.rows(), 3u);

@@ -3,7 +3,9 @@
 // every runnable allocator dominates the potential-derived floor).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 
 #include "lb/lower_bound.h"
@@ -14,6 +16,22 @@ namespace memreal {
 namespace {
 
 constexpr Tick kCap = Tick{1} << 50;
+
+/// The no-additive-structure property of (s1, s2), checked exhaustively
+/// over lambda in [0, n]^2: the minimum |l1 s1 - l2 s2| over non-zero
+/// pairs.
+Tick min_additive_gap(const LowerBoundSpec& spec) {
+  Tick best = ~Tick{0};
+  for (std::size_t l1 = 0; l1 <= spec.n; ++l1) {
+    for (std::size_t l2 = 0; l2 <= spec.n; ++l2) {
+      if (l1 == 0 && l2 == 0) continue;
+      const auto a = static_cast<long long>(l1 * spec.s1);
+      const auto b = static_cast<long long>(l2 * spec.s2);
+      best = std::min(best, static_cast<Tick>(std::llabs(a - b)));
+    }
+  }
+  return best;
+}
 
 TEST(LowerBound, SpecMatchesPaper) {
   const auto spec = make_lower_bound_spec(kCap, 1.0 / 256);

@@ -436,7 +436,9 @@ TEST(ObsWiring, CellCountersEqualRunStatsTickForTick) {
                 static_cast<std::uint64_t>(ps.moved_mass));
       EXPECT_EQ(reg.counter("memreal_cell_update_ticks_total", l)->value(),
                 static_cast<std::uint64_t>(ps.update_mass));
-      EXPECT_EQ(reg.histogram("memreal_cell_cost", l)->count(), ps.updates);
+      EXPECT_EQ(
+          reg.histogram("memreal_cell_moved_ticks_per_update", l)->count(),
+          ps.updates);
       updates += ps.updates;
       moved += static_cast<std::uint64_t>(ps.moved_mass);
     }

@@ -178,8 +178,6 @@ TEST(BenchData, LoadsSchemaTwoFile) {
   ASSERT_EQ(f.seeds.size(), 1u);
   EXPECT_NE(f.find_series("churn-band/simple"), nullptr);
   EXPECT_EQ(f.find_series("nope"), nullptr);
-  EXPECT_EQ(set.records_for_claim("T1").size(), 1u);
-  EXPECT_TRUE(set.records_for_claim("T2").empty());
 }
 
 TEST(BenchData, RejectsStaleSchemaWithClearError) {

@@ -328,7 +328,7 @@ TEST(ServingEngine, QueriesObserveAppliedLayout) {
   EXPECT_EQ(serve.neighbors_of(42), std::nullopt);
   serve.submit(Update::insert(42, size)).get();
   EXPECT_TRUE(serve.contains(42));
-  const std::size_t shard = serve.sharded().shard_of(42);
+  const std::size_t shard = serve.sharded().find_shard(42).value();
   const auto at = serve.item_at(shard, 0);
   ASSERT_TRUE(at.has_value());
   EXPECT_EQ(at->id, 42u);

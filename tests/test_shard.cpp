@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "harness/cell.h"
@@ -228,6 +229,25 @@ TEST(ShardedEngine, ItemFittingNoShardThrows) {
   EXPECT_THROW(engine.run(seq), InvariantViolation);
 }
 
+// The cells' eps budget comes from eps and the allocator's from
+// params.eps, so a config where they disagree is rejected; shard_index is
+// per-cell state the engine assigns.
+TEST(ShardedEngine, RejectsMismatchedEpsAndCallerShardIndex) {
+  ShardedConfig mismatched = shard_config("simple", 2);
+  mismatched.params.eps = kEps / 2;
+  try {
+    ShardedEngine engine(mismatched);
+    FAIL() << "a config with eps != params.eps was accepted";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("disagrees with params.eps"),
+              std::string::npos)
+        << e.what();
+  }
+  ShardedConfig indexed = shard_config("simple", 2);
+  indexed.shard_index = 0;
+  EXPECT_THROW(ShardedEngine{indexed}, InvariantViolation);
+}
+
 // -- Migration and rebalancing ----------------------------------------------
 
 TEST(ShardedEngine, MigrateMovesItemAndChargesCost) {
@@ -242,12 +262,12 @@ TEST(ShardedEngine, MigrateMovesItemAndChargesCost) {
   ASSERT_FALSE(snapshot.empty());
   const ItemId id = snapshot.front().id;
   const Tick size = snapshot.front().size;
-  const std::size_t from = engine.shard_of(id);
+  const std::size_t from = engine.find_shard(id).value();
   const std::size_t to = 1 - from;
 
   engine.migrate(id, to);
   engine.audit();
-  EXPECT_EQ(engine.shard_of(id), to);
+  EXPECT_EQ(engine.find_shard(id).value(), to);
   EXPECT_TRUE(engine.memory(to).contains(id));
   EXPECT_FALSE(engine.memory(from).contains(id));
 

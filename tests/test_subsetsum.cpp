@@ -182,11 +182,5 @@ TEST(Theorem62, SuccessDoesNotCollapseWithM) {
   }
 }
 
-TEST(HasSubset, DecisionWrapper) {
-  std::vector<Tick> v{2, 4, 6};
-  EXPECT_TRUE(has_subset_in_range(v, 6, 6));
-  EXPECT_FALSE(has_subset_in_range(v, 13, 100));
-}
-
 }  // namespace
 }  // namespace memreal

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -238,18 +239,6 @@ TEST(Quantiles, MergeConcatenatesAndInvalidates) {
   EXPECT_EQ(a.count(), 4u);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(0.5);
-  h.add(9.5);
-  h.add(25.0);   // clamps to last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
 // -- fit ---------------------------------------------------------------
 
 TEST(Fit, LinearExact) {
@@ -282,35 +271,7 @@ TEST(Fit, RejectsMismatchedSizes) {
 }
 
 // -- thresholds (Lemmas 4.3 / 4.4) --------------------------------------
-
-TEST(ContinuousThreshold, ThresholdInWindow) {
-  Rng r(1);
-  ContinuousThreshold t(1000, r);
-  EXPECT_GE(t.threshold(), 500u);
-  EXPECT_LT(t.threshold(), 1000u);
-}
-
-TEST(ContinuousThreshold, OverflowCarries) {
-  Rng r(1);
-  ContinuousThreshold t(1000, r);
-  const Tick thr = t.threshold();
-  // One huge addition crosses: the overflow must carry.
-  ASSERT_TRUE(t.add(thr + 137));
-  EXPECT_EQ(t.accumulated(), 137u);
-}
-
-TEST(ContinuousThreshold, CrossesEventually) {
-  Rng r(2);
-  ContinuousThreshold t(1000, r);
-  int crossings = 0;
-  Tick total = 0;
-  while (total < 100'000) {
-    total += 100;
-    crossings += t.add(100);
-  }
-  // Expected threshold ~750 per crossing: about 133 crossings.
-  EXPECT_NEAR(crossings, 133, 35);
-}
+// The sampling schemes GEO's waste recovery and level rebuilds use.
 
 TEST(ContinuousThreshold, Lemma43CrossingProbability) {
   // Lemma 4.3: Pr[exists j with partial sum in [a, b]] <= 4 (b - a) / W.
@@ -332,28 +293,6 @@ TEST(ContinuousThreshold, Lemma43CrossingProbability) {
   }
   const double p = static_cast<double>(hits) / trials;
   EXPECT_LE(p, 4.0 * static_cast<double>(b - a) / W + 0.03);
-}
-
-TEST(CountThreshold, RangeMatchesLemma44) {
-  Rng r(3);
-  CountThreshold t(100, r);
-  EXPECT_EQ(t.range_lo(), 25u);
-  EXPECT_EQ(t.range_hi(), 34u);
-  for (int i = 0; i < 200; ++i) {
-    const auto thr = t.threshold();
-    EXPECT_GE(thr, 25u);
-    EXPECT_LE(thr, 34u);
-    t.reset_free();
-  }
-}
-
-TEST(CountThreshold, SmallNAlwaysOne) {
-  Rng r(3);
-  for (std::uint64_t n : {1ULL, 2ULL, 3ULL}) {
-    CountThreshold t(n, r);
-    EXPECT_EQ(t.threshold(), 1u);
-    EXPECT_TRUE(t.tick());
-  }
 }
 
 TEST(CountThreshold, Lemma44HitProbability) {
@@ -503,7 +442,9 @@ TEST(Table, RendersAlignedCells) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"b", "22222"});
-  const std::string s = t.to_string();
+  std::ostringstream os;
+  t.print(os);
+  const std::string s = os.str();
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("22222"), std::string::npos);
   EXPECT_EQ(t.rows(), 2u);
@@ -576,14 +517,14 @@ TEST(Json, ParsesNestedStructures) {
   const Json doc =
       Json::parse("{\"a\": [1, 2.5, {\"b\": null}], \"c\": \"x\"}");
   EXPECT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.at("a").size(), 3u);
-  EXPECT_EQ(doc.at("a").at(0).as_u64(), 1u);
-  EXPECT_DOUBLE_EQ(doc.at("a").at(1).as_double(), 2.5);
-  EXPECT_TRUE(doc.at("a").at(2).at("b").is_null());
+  const auto& a = doc.at("a").items();
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[0].second.as_u64(), 1u);
+  EXPECT_DOUBLE_EQ(a[1].second.as_double(), 2.5);
+  EXPECT_TRUE(a[2].second.at("b").is_null());
   EXPECT_EQ(doc.at("c").as_string(), "x");
   EXPECT_EQ(doc.find("missing"), nullptr);
   EXPECT_THROW(static_cast<void>(doc.at("missing")), JsonParseError);
-  EXPECT_THROW(static_cast<void>(doc.at("a").at(3)), JsonParseError);
 }
 
 TEST(Json, DumpParseRoundTripsExactly) {

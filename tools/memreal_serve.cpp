@@ -311,7 +311,8 @@ bool counters_match_stats(const Options& o, const ShardedRunStats& stats) {
         reg.counter("memreal_cell_deletes_total", l)->value() != ps.deletes ||
         reg.counter("memreal_cell_moved_bytes_total", l)->value() !=
             static_cast<std::uint64_t>(ps.moved_bytes) ||
-        reg.histogram("memreal_cell_cost", l)->count() != ps.updates) {
+        reg.histogram("memreal_cell_moved_ticks_per_update", l)->count() !=
+            ps.updates) {
       return false;
     }
     updates += u;
