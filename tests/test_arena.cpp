@@ -219,6 +219,75 @@ TEST(ArenaStore, MovedBytesChannelReachesRunStats) {
   EXPECT_EQ(cell.arena()->last_update_bytes(), 10u);
 }
 
+TEST(ArenaStore, EveryAddressIsTheGranuleOfItsOffset) {
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64, 16));
+  const std::vector<Tick> byte_sizes{1, 16, 17, 33, 100, 255};
+  ItemId id = 1;
+  for (const Tick bytes : byte_sizes) {
+    cell.step(Update::insert(id++, (bytes + 15) / 16, bytes));
+  }
+  const ArenaStore& store = *cell.arena();
+  for (ItemId i = 1; i < id; ++i) {
+    EXPECT_EQ(store.address_of(i), store.offset_of(i) * 16) << "item " << i;
+    EXPECT_EQ(store.address_of(i) % 16, 0u) << "item " << i;
+    EXPECT_EQ(store.bytes_of(i), byte_sizes[i - 1]) << "item " << i;
+  }
+  cell.audit();
+}
+
+TEST(ArenaStore, IdsAreStableWhileAddressesMove) {
+  // Deleting item 1 leaves waste 9 > eps/2 = 8: folklore-compact slides
+  // item 2 down to address 0, and its payload travels with it.
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  cell.step(Update::insert(1, 9, 72));
+  cell.step(Update::insert(2, 3, 20));
+  ASSERT_EQ(cell.arena()->address_of(2), 72u);
+  cell.step(Update::erase(1, 9, 72));
+  const ArenaStore& store = *cell.arena();
+  EXPECT_EQ(store.address_of(2), 0u);
+  const std::span<const unsigned char> p = store.payload(2);
+  ASSERT_EQ(p.size(), 20u);
+  for (std::uint64_t j = 0; j < p.size(); ++j) {
+    ASSERT_EQ(p[j], ArenaStore::pattern_byte(2, j)) << "post-move byte " << j;
+  }
+  cell.audit();
+}
+
+TEST(ArenaStore, CompactionChargesExactlyTheMovedPayloadBytes) {
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  cell.step(Update::insert(1, 9, 72));
+  cell.step(Update::insert(2, 3, 20));
+  cell.step(Update::insert(3, 2, 9));
+  // Waste 9 > 8 after the delete: items 2 and 3 slide left, and the byte
+  // channel charges their payload bytes, not their tick extents.
+  cell.step(Update::erase(1, 9, 72));
+  EXPECT_EQ(cell.arena()->last_update_bytes(), 20u + 9u);
+  EXPECT_EQ(cell.stats().moved_bytes, 72u + 20u + 9u + 20u + 9u);
+  EXPECT_EQ(cell.arena()->address_of(3), 3u * 8);
+  cell.audit();
+}
+
+TEST(ArenaStore, EraseReleasesTheIdForReuse) {
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  cell.step(Update::insert(1, 2, 16));
+  cell.step(Update::insert(2, 2, 12));
+  cell.step(Update::erase(2, 2, 12));
+  const ArenaStore& store = *cell.arena();
+  EXPECT_FALSE(store.contains(2));
+  EXPECT_EQ(store.item_count(), 1u);
+  EXPECT_EQ(store.live_mass(), 2u);
+  EXPECT_ANY_THROW((void)store.bytes_of(2));
+  // The id comes back with a new size and a fresh payload.
+  cell.step(Update::insert(2, 4, 30));
+  EXPECT_EQ(store.bytes_of(2), 30u);
+  const std::span<const unsigned char> p = store.payload(2);
+  ASSERT_EQ(p.size(), 30u);
+  for (std::uint64_t j = 0; j < p.size(); ++j) {
+    ASSERT_EQ(p[j], ArenaStore::pattern_byte(2, j)) << "byte " << j;
+  }
+  cell.audit();
+}
+
 // -- The end_update flush, against a Memory twin ------------------------------
 //
 // An ArenaStore over a validating Memory and a plain Memory twin receive

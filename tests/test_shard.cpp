@@ -3,6 +3,7 @@
 // routing, migration/rebalancing, and thread-count invariance.
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -246,6 +247,39 @@ TEST(ShardedEngine, RejectsMismatchedEpsAndCallerShardIndex) {
   ShardedConfig indexed = shard_config("simple", 2);
   indexed.shard_index = 0;
   EXPECT_THROW(ShardedEngine{indexed}, InvariantViolation);
+}
+
+TEST(ShardedEngine, FindShardNamesTheShardHoldingEachLiveItem) {
+  const Sequence seq = shard_churn(2, 300, 13);
+  ShardedEngine engine(shard_config("simple", 2));
+  engine.run(seq);
+  std::set<ItemId> live;
+  for (const Update& u : seq.updates) {
+    if (u.is_insert()) {
+      live.insert(u.id);
+    } else {
+      live.erase(u.id);
+    }
+  }
+  std::size_t deleted = 0;
+  for (const Update& u : seq.updates) {
+    const std::optional<std::size_t> s = engine.find_shard(u.id);
+    if (live.contains(u.id)) {
+      ASSERT_TRUE(s.has_value()) << "live item " << u.id;
+      EXPECT_TRUE(engine.memory(*s).contains(u.id)) << "item " << u.id;
+    } else {
+      EXPECT_FALSE(s.has_value()) << "deleted item " << u.id;
+      ++deleted;
+    }
+  }
+  EXPECT_GT(deleted, 0u);
+  EXPECT_FALSE(live.empty());
+  ItemId unseen = 1;
+  while (std::any_of(seq.updates.begin(), seq.updates.end(),
+                     [&](const Update& u) { return u.id == unseen; })) {
+    ++unseen;
+  }
+  EXPECT_FALSE(engine.find_shard(unseen).has_value());
 }
 
 // -- Migration and rebalancing ----------------------------------------------

@@ -182,5 +182,14 @@ TEST(Theorem62, SuccessDoesNotCollapseWithM) {
   }
 }
 
+// Callers that need only the decision bit read has_value() off the search.
+TEST(HasSubset, DecisionWrapper) {
+  std::vector<Tick> v{2, 4, 6};
+  EXPECT_TRUE(subset_in_range_mitm(v, 6, 6).has_value());
+  EXPECT_FALSE(subset_in_range_mitm(v, 13, 100).has_value());
+  EXPECT_EQ(subset_in_range_mitm(v, 6, 6, 1).has_value(),
+            subset_in_range_brute(v, 6, 6, 1).has_value());
+}
+
 }  // namespace
 }  // namespace memreal

@@ -273,6 +273,36 @@ TEST(Fit, RejectsMismatchedSizes) {
 // -- thresholds (Lemmas 4.3 / 4.4) --------------------------------------
 // The sampling schemes GEO's waste recovery and level rebuilds use.
 
+TEST(ContinuousThreshold, ThresholdInWindow) {
+  // GEO's waste-recovery draw T <- [W/2, W).
+  Rng r(1);
+  const Tick W = 1000;
+  for (int i = 0; i < 200; ++i) {
+    const Tick t = r.next_tick_in(W / 2, W);
+    EXPECT_GE(t, 500u);
+    EXPECT_LT(t, 1000u);
+  }
+}
+
+TEST(ContinuousThreshold, CrossesEventually) {
+  // Accumulating 100 per step with the overflow carried, each crossing
+  // costs one threshold of mean ~750: about 133 crossings in 100,000.
+  Rng r(2);
+  const Tick W = 1000;
+  Tick thr = r.next_tick_in(W / 2, W);
+  Tick acc = 0;
+  int crossings = 0;
+  for (Tick total = 0; total < 100'000; total += 100) {
+    acc += 100;
+    if (acc >= thr) {
+      acc -= thr;
+      thr = r.next_tick_in(W / 2, W);
+      ++crossings;
+    }
+  }
+  EXPECT_NEAR(crossings, 133, 35);
+}
+
 TEST(ContinuousThreshold, Lemma43CrossingProbability) {
   // Lemma 4.3: Pr[exists j with partial sum in [a, b]] <= 4 (b - a) / W.
   // Empirical check with W = 1000, [a, b] = [10000, 10050]: bound 0.2.
@@ -293,6 +323,33 @@ TEST(ContinuousThreshold, Lemma43CrossingProbability) {
   }
   const double p = static_cast<double>(hits) / trials;
   EXPECT_LE(p, 4.0 * static_cast<double>(b - a) / W + 0.03);
+}
+
+TEST(CountThreshold, RangeMatchesLemma44) {
+  // GEO's level-rebuild draw: [ceil(N/4), ceil(N/3)], closed.
+  const std::uint64_t lo = ceil_div(100, 4), hi = ceil_div(100, 3);
+  EXPECT_EQ(lo, 25u);
+  EXPECT_EQ(hi, 34u);
+  Rng r(3);
+  std::set<std::uint64_t> seen;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t thr = r.next_in(lo, hi);
+    EXPECT_GE(thr, 25u);
+    EXPECT_LE(thr, 34u);
+    seen.insert(thr);
+  }
+  // Both closed ends are reachable.
+  EXPECT_TRUE(seen.contains(25u));
+  EXPECT_TRUE(seen.contains(34u));
+}
+
+TEST(CountThreshold, SmallNAlwaysOne) {
+  Rng r(3);
+  for (std::uint64_t n : {1ULL, 2ULL, 3ULL}) {
+    EXPECT_EQ(ceil_div(n, 4), 1u);
+    EXPECT_EQ(ceil_div(n, 3), 1u);
+    EXPECT_EQ(r.next_in(ceil_div(n, 4), ceil_div(n, 3)), 1u);
+  }
 }
 
 TEST(CountThreshold, Lemma44HitProbability) {
