@@ -3,7 +3,8 @@
 //
 //   allocator_race [workload] [inv_eps] [updates] [seed]
 //
-//   workload: band | geo | mixed | random | sawtooth   (default: band)
+//   workload: band | geo | mixed | random | sawtooth   (default: band;
+//             any other name exits 2)
 //   inv_eps : 1/eps (default 64)
 //   updates : churn length (default 5000)
 #include <cstdio>
@@ -58,7 +59,10 @@ Sequence build_workload(const std::string& kind, Tick cap, double eps,
     c.seed = seed;
     return make_sawtooth(c);
   }
-  return make_simple_regime(cap, eps, updates, seed);
+  if (kind == "band") return make_simple_regime(cap, eps, updates, seed);
+  std::fprintf(stderr, "allocator_race: unknown workload '%s' (%s)\n",
+               kind.c_str(), "band|geo|mixed|random|sawtooth");
+  std::exit(2);
 }
 
 /// Which allocators can serve a given workload's size regime?
@@ -90,11 +94,11 @@ int main(int argc, char** argv) {
   const double eps = 1.0 / inv_eps;
   const Tick cap = Tick{1} << 50;
 
+  const Sequence seq = build_workload(kind, cap, eps, updates, seed);
   std::printf(
       "allocator_race: workload=%s 1/eps=%.0f updates=%zu seed=%llu\n\n",
       kind.c_str(), inv_eps, updates,
       static_cast<unsigned long long>(seed));
-  const Sequence seq = build_workload(kind, cap, eps, updates, seed);
 
   Table t({"allocator", "updates", "mean cost", "ratio cost", "p99", "max",
            "wall us/upd"});

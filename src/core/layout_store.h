@@ -53,8 +53,6 @@ struct ValidationPolicy {
   /// Non-resizable allocators (windowed folklore) set this false and are
   /// checked against span_end <= capacity instead.
   bool check_resizable_bound = true;
-  /// Enforce the adversary's load-factor promise on placement.
-  bool check_load_factor = true;
 };
 
 /// A placed item as seen by introspection (ordered snapshots and the

@@ -171,7 +171,6 @@ Lockstep make_lockstep(Tick capacity, Tick eps_ticks,
   if (config.lockstep_arena) {
     CellConfig arena = cell;
     arena.arena = true;
-    arena.bytes_per_tick = config.arena_bytes_per_tick;
     out.shadows.push_back({make_cell(capacity, eps_ticks, arena),
                            FailureKind::kArenaDivergence, "arena"});
   }

@@ -81,8 +81,6 @@ struct DifferentialConfig {
   /// payload-stamp verification, or byte traffic outside the granule's
   /// rounding bound is reported as kArenaDivergence.
   bool lockstep_arena = false;
-  /// Granule of the lockstep arena cells.
-  Tick arena_bytes_per_tick = 8;
 };
 
 struct FailureReport {

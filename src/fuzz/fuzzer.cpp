@@ -72,6 +72,9 @@ std::vector<TargetGroup> make_target_groups(
 
 namespace {
 
+/// The one FuzzConfig -> DifferentialConfig mapping: campaign iterations,
+/// the up-front feasibility check and corpus replay all build their
+/// lockstep targets here, each seeded from `iter_seed` and its name.
 DifferentialConfig make_differential_config(const TargetGroup& group,
                                             std::uint64_t iter_seed,
                                             const FuzzConfig& cfg) {
@@ -292,35 +295,20 @@ FuzzSummary replay_corpus(const FuzzConfig& cfg, const std::string& dir) {
     const CorpusEntry entry = load_corpus_entry(path);
     ++summary.iterations;
 
-    DifferentialConfig dcfg;
-    dcfg.budget_slack = cfg.budget_slack;
-    dcfg.audit_every = cfg.audit_every;
-    dcfg.check_invariants_every = cfg.check_invariants_every;
-    dcfg.lockstep_release = cfg.engine == "release";
-    dcfg.lockstep_arena = cfg.engine == "arena";
-    const std::uint64_t iseed = iteration_seed(entry.seed, entry.iteration);
-    const bool have_target =
-        std::find(known.begin(), known.end(), entry.allocator) != known.end();
-    if (have_target) {
-      const AllocatorInfo info = allocator_info(entry.allocator);
-      FuzzTarget t;
-      t.allocator = info.name;
-      t.params.eps = entry.seq.eps;
-      t.params.delta = info.default_delta;
-      t.params.seed = target_seed(iseed, info.name);
-      t.budget = info.budget;
-      dcfg.targets.push_back(std::move(t));
+    // The recorded allocator, or the universal baselines when the
+    // metadata names no registered allocator.
+    TargetGroup group{entry.seq.eps, 0.0, {}, {}};
+    if (std::find(known.begin(), known.end(), entry.allocator) !=
+        known.end()) {
+      group.members.push_back(allocator_info(entry.allocator));
+      group.delta = group.members.front().default_delta;
     } else {
-      for (const AllocatorInfo& info : allocator_infos()) {
-        if (!info.universal) continue;
-        FuzzTarget t;
-        t.allocator = info.name;
-        t.params.eps = entry.seq.eps;
-        t.params.seed = target_seed(iseed, info.name);
-        t.budget = info.budget;
-        dcfg.targets.push_back(std::move(t));
+      for (AllocatorInfo& info : allocator_infos()) {
+        if (info.universal) group.members.push_back(std::move(info));
       }
     }
+    const std::uint64_t iseed = iteration_seed(entry.seed, entry.iteration);
+    const DifferentialConfig dcfg = make_differential_config(group, iseed, cfg);
 
     ++summary.sequences;
     summary.updates += entry.seq.size();

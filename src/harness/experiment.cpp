@@ -30,9 +30,7 @@ CellOut run_cell(const ExperimentConfig& c, double eps, std::uint64_t seed) {
   cell.params.eps = eps;
   cell.params.delta = c.delta;
   cell.params.seed = seed * 0x9E3779B97F4A7C15ULL + 1;
-  cell.incremental_validation = c.incremental_validation;
   cell.audit_every = c.audit_every;
-  cell.check_invariants_every = c.check_invariants_every;
   RunStats stats = run_validated(seq, cell);
 
   CellOut out;

@@ -26,12 +26,8 @@ struct ExperimentConfig {
   std::vector<double> eps_values;
   std::size_t seeds = 3;                ///< averaged per eps
   double delta = 0.0;                   ///< forwarded to RSUM
-  /// Incremental O(log n) model validation at every update (the default
-  /// validated-run mode; see ValidationPolicy::incremental).
-  bool incremental_validation = true;
   /// Full O(n) audit cadence; 0 = only the final audit after the run.
   std::size_t audit_every = 0;
-  std::size_t check_invariants_every = 0;
   std::size_t threads = 0;              ///< 0 = all cores
 };
 

@@ -37,7 +37,7 @@ void Memory::check_extent_fits(ItemId id, Tick offset, Tick extent) const {
 void Memory::begin_update(Tick update_size, bool is_insert) {
   MEMREAL_CHECK_MSG(!in_update_, "nested update");
   MEMREAL_CHECK(update_size > 0);
-  if (is_insert && policy_.check_load_factor) {
+  if (is_insert) {
     MEMREAL_CHECK_MSG(
         live_mass_ + update_size + eps_ticks_ <= capacity_,
         "adversary violated the load-factor promise: live "
@@ -222,10 +222,8 @@ void Memory::check_global_bounds(Tick span) const {
   if (policy_.check_resizable_bound && span > live_mass_ + eps_ticks_) {
     fail_resizable_bound(span);
   }
-  if (policy_.check_load_factor) {
-    MEMREAL_CHECK_MSG(live_mass_ + eps_ticks_ <= capacity_,
-                      "load factor above 1 - eps");
-  }
+  MEMREAL_CHECK_MSG(live_mass_ + eps_ticks_ <= capacity_,
+                    "load factor above 1 - eps");
 }
 
 void Memory::check_incremental(

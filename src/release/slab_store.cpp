@@ -447,10 +447,8 @@ void SlabStore::audit() const {
                           << max_end << " > L + eps = "
                           << live_mass_ + eps_ticks_);
   }
-  if (policy_.check_load_factor) {
-    MEMREAL_CHECK_MSG(live_mass_ + eps_ticks_ <= capacity_,
-                      "load factor above 1 - eps");
-  }
+  MEMREAL_CHECK_MSG(live_mass_ + eps_ticks_ <= capacity_,
+                    "load factor above 1 - eps");
 }
 
 void SlabStore::debug_corrupt_first_offset(Tick delta) {

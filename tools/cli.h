@@ -1,6 +1,7 @@
 // Command-line plumbing shared by the operational CLIs: usage errors,
-// strict number parsing, comma-separated lists, the cell drivers'
-// --engine spelling and their output files (--metrics-out / --prom-out /
+// strict number parsing, comma-separated lists, the --capacity-log2 and
+// --eps value checks, the cell drivers' shared flags (parsed once into a
+// ShardedConfig) and their output files (--metrics-out / --prom-out /
 // --metrics-summary and --trace-out).  A usage error prints one line to
 // stderr and exits with status 2; an output file that cannot be written
 // prints one line and makes the tool exit 1.
@@ -14,12 +15,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "arena/arena_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/sharded_engine.h"
 
 namespace memreal::cli {
 
@@ -92,16 +98,92 @@ inline std::vector<std::string> split_csv(const Tool& tool,
   return out;
 }
 
-/// The cell drivers' --engine: "validated" or "release" names the cell
-/// store; "arena" is an alias for --arena over the validated store.
-inline void parse_engine(const Tool& tool, const char* value,
-                         std::string& engine, bool& arena) {
-  engine = value;
-  if (engine == "arena") {
-    engine = "validated";
-    arena = true;
-  } else if (engine != "validated" && engine != "release") {
-    usage_error(tool, "--engine must be 'validated', 'release', or 'arena'");
+/// --capacity-log2's value check: N in [10, max_log2].
+inline void check_capacity_log2(const Tool& tool, std::uint64_t log2,
+                                unsigned max_log2) {
+  if (log2 < 10 || log2 > max_log2) {
+    usage_error(tool, "--capacity-log2 must be in [10, " +
+                          std::to_string(max_log2) + "]");
+  }
+}
+
+/// --eps's value check: eps in (0, 1).
+inline void check_eps(const Tool& tool, double eps) {
+  if (eps <= 0.0 || eps >= 1.0) usage_error(tool, "--eps must be in (0, 1)");
+}
+
+/// Walks a cell driver's command line (memreal_shard, memreal_serve).
+/// --help / -h prints `usage` and exits 0.  The cell flags (--allocator
+/// --engine --arena --bytes-per-tick --shards --eps --seed
+/// --capacity-log2) go straight into `config`; one --eps sets both the
+/// allocators' eps and the cells' budget.  Every other flag goes to
+/// `tool_flag(flag, next)`, which returns false for one it does not know.
+/// The cell is then checked once; each failure is a usage error.
+template <class ToolFlag>
+void parse_cell_args(int argc, char** argv, const Tool& tool,
+                     const char* usage, ShardedConfig& config,
+                     const ToolFlag& tool_flag) {
+  std::optional<std::uint64_t> capacity_log2;
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(tool, "missing value for " + flag);
+      return argv[++i];
+    };
+    if (flag == "--help" || flag == "-h") {
+      std::fputs(usage, stdout);
+      std::exit(0);
+    } else if (flag == "--allocator") {
+      config.allocator = next();
+    } else if (flag == "--engine") {
+      config.engine = next();
+      if (config.engine == "arena") {
+        config.engine = "validated";
+        config.arena = true;
+      } else if (config.engine != "validated" && config.engine != "release") {
+        usage_error(tool,
+                    "--engine must be 'validated', 'release', or 'arena'");
+      }
+    } else if (flag == "--arena") {
+      config.arena = true;
+    } else if (flag == "--bytes-per-tick") {
+      config.bytes_per_tick = parse_u64(tool, flag, next());
+    } else if (flag == "--shards") {
+      config.shards = static_cast<std::size_t>(parse_u64(tool, flag, next()));
+    } else if (flag == "--eps") {
+      config.eps = config.params.eps = parse_double(tool, flag, next());
+    } else if (flag == "--seed") {
+      config.params.seed = parse_u64(tool, flag, next());
+    } else if (flag == "--capacity-log2") {
+      capacity_log2 = parse_u64(tool, flag, next());
+    } else if (!tool_flag(flag, next)) {
+      usage_error(tool, "unknown flag '" + flag + "'");
+    }
+  }
+
+  if (config.shards == 0) usage_error(tool, "--shards must be >= 1");
+  if (config.bytes_per_tick == 0) {
+    usage_error(tool, "--bytes-per-tick must be >= 1");
+  }
+  check_eps(tool, config.eps);
+  // An arena shard carries a real byte payload per tick; the tick-only
+  // default capacity would ask for terabytes of physical arena.
+  const std::uint64_t log2 = capacity_log2.value_or(config.arena ? 22 : 40);
+  check_capacity_log2(tool, log2, 50);
+  config.shard_capacity = Tick{1} << log2;
+  // The global workload spans shards * 2^capacity-log2 ticks.
+  if (config.shards > (std::numeric_limits<Tick>::max() >> log2)) {
+    usage_error(tool, "--shards x 2^capacity-log2 overflows the tick space");
+  }
+  const std::uint64_t max_arena_bytes = ArenaOptions{}.max_arena_bytes;
+  if (config.arena &&
+      config.shard_capacity > max_arena_bytes / config.bytes_per_tick) {
+    std::ostringstream what;
+    what << "--arena: a shard of 2^" << log2 << " ticks at "
+         << config.bytes_per_tick << " bytes per tick passes the "
+         << "max_arena_bytes cap of " << max_arena_bytes
+         << " bytes; lower --capacity-log2 or --bytes-per-tick";
+    usage_error(tool, what.str());
   }
 }
 

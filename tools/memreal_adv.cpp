@@ -161,14 +161,10 @@ int main(int argc, char** argv) {
       }
     } else if (flag == "--eps") {
       cfg.base.eps = parse_double(kTool, flag, value());
-      if (cfg.base.eps <= 0 || cfg.base.eps >= 1) {
-        usage_error(kTool, "--eps must be in (0, 1)");
-      }
+      check_eps(kTool, cfg.base.eps);
     } else if (flag == "--capacity-log2") {
       const std::uint64_t log2 = parse_u64(kTool, flag, value());
-      if (log2 < 10 || log2 > 62) {
-        usage_error(kTool, "--capacity-log2 out of range");
-      }
+      check_capacity_log2(kTool, log2, 62);
       cfg.base.capacity = Tick{1} << log2;
     } else if (flag == "--max-edits") {
       cfg.base.max_edits =

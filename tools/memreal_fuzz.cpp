@@ -167,9 +167,7 @@ int main(int argc, char** argv) {
       cfg.threads = static_cast<std::size_t>(parse_u64(kTool, flag, value()));
     } else if (flag == "--capacity-log2") {
       const std::uint64_t log2 = parse_u64(kTool, flag, value());
-      if (log2 < 10 || log2 > 62) {
-        usage_error(kTool, "--capacity-log2 out of range");
-      }
+      check_capacity_log2(kTool, log2, 62);
       cfg.capacity = Tick{1} << log2;
     } else if (flag == "--budget-slack") {
       cfg.budget_slack = parse_double(kTool, flag, value());

@@ -17,7 +17,6 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -65,7 +64,7 @@ constexpr const char* kUsage = R"(memreal_serve [options]
   --eps X            free-space parameter (default 0.015625)
   --seed N           workload + allocator seed (default 1)
   --capacity-log2 N  per-shard capacity 2^N ticks (default 40; 22 under
-                     --arena)
+                     --arena, where 2^N x granule must stay within 2 GiB)
   --skip-verify      skip the deterministic differential (every registry
                      allocator x both engines vs the batch ShardedEngine)
   --verify-only      run only the differential, no latency sweep
@@ -94,19 +93,11 @@ MEMREAL_FAST=1 shrinks the sweep for smoke runs.
 )";
 
 struct Options {
-  std::string allocator = "simple";
+  ShardedConfig config;  ///< the cells every sweep point and verify runs
   std::string workload = "churn";
-  std::string engine = "validated";
-  bool arena = false;
-  Tick bytes_per_tick = 8;
-  std::size_t shards = 4;
   std::vector<std::size_t> clients = {1, 2, 4};
   std::vector<double> qps = {0.0};
   std::size_t updates = 20'000;
-  double eps = 1.0 / 64;
-  std::uint64_t seed = 1;
-  unsigned capacity_log2 = 40;
-  bool capacity_log2_set = false;
   bool verify = true;
   bool verify_only = false;
   /// Unset = BENCH_serve.json (in MEMREAL_BENCH_DIR if set); "" = off.
@@ -122,29 +113,10 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
-      return argv[++i];
-    };
-    if (flag == "--help" || flag == "-h") {
-      std::fputs(kUsage, stdout);
-      std::exit(0);
-    } else if (flag == "--allocator") {
-      o.allocator = next();
-    } else if (flag == "--engine") {
-      parse_engine(kTool, next(), o.engine, o.arena);
-    } else if (flag == "--arena") {
-      o.arena = true;
-    } else if (flag == "--bytes-per-tick") {
-      o.bytes_per_tick = parse_u64(kTool, flag, next());
-      if (o.bytes_per_tick == 0) {
-        usage_error(kTool, "--bytes-per-tick must be >= 1");
-      }
-    } else if (flag == "--shards") {
-      o.shards = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
-    } else if (flag == "--clients") {
+  o.config.allocator = "simple";
+  o.config.shards = 4;
+  auto tool_flag = [&](const std::string& flag, const auto& next) {
+    if (flag == "--clients") {
       o.clients.clear();
       for (const std::string& e : split_csv(kTool, flag, next())) {
         o.clients.push_back(
@@ -159,17 +131,6 @@ Options parse_args(int argc, char** argv) {
       o.workload = next();
     } else if (flag == "--updates") {
       o.updates = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
-    } else if (flag == "--eps") {
-      o.eps = parse_double(kTool, flag, next());
-    } else if (flag == "--seed") {
-      o.seed = parse_u64(kTool, flag, next());
-    } else if (flag == "--capacity-log2") {
-      const std::uint64_t v = parse_u64(kTool, flag, next());
-      if (v < 10 || v > 50) {
-        usage_error(kTool, "--capacity-log2 must be in [10, 50]");
-      }
-      o.capacity_log2 = static_cast<unsigned>(v);
-      o.capacity_log2_set = true;
     } else if (flag == "--skip-verify") {
       o.verify = false;
     } else if (flag == "--verify-only") {
@@ -192,10 +153,11 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
-      usage_error(kTool, "unknown flag '" + flag + "'");
+      return false;
     }
-  }
-  if (o.shards == 0) usage_error(kTool, "--shards must be >= 1");
+    return true;
+  };
+  parse_cell_args(argc, argv, kTool, kUsage, o.config, tool_flag);
   if (o.clients.empty()) usage_error(kTool, "--clients list is empty");
   for (const std::size_t c : o.clients) {
     if (c == 0) usage_error(kTool, "--clients entries must be >= 1");
@@ -205,33 +167,11 @@ Options parse_args(int argc, char** argv) {
       usage_error(kTool, "--qps entries must be >= 0 (0 = saturation)");
     }
   }
-  if (o.arena && !o.capacity_log2_set) o.capacity_log2 = 22;
-  if (o.shards > (std::numeric_limits<Tick>::max() >> o.capacity_log2)) {
-    usage_error(kTool, "--shards x 2^capacity-log2 overflows the tick space");
-  }
-  if (o.eps <= 0.0 || o.eps >= 1.0) {
-    usage_error(kTool, "--eps must be in (0, 1)");
-  }
   if (o.verify_only && !o.verify) {
     usage_error(kTool,
                 "--verify-only and --skip-verify are mutually exclusive");
   }
   return o;
-}
-
-ShardedConfig base_config(const Options& o, const std::string& allocator,
-                          const std::string& engine, Tick shard_capacity) {
-  ShardedConfig c;
-  c.engine = engine;
-  c.allocator = allocator;
-  c.arena = o.arena;
-  c.bytes_per_tick = o.bytes_per_tick;
-  c.params.eps = o.eps;
-  c.params.seed = o.seed;
-  c.shards = o.shards;
-  c.shard_capacity = shard_capacity;
-  c.eps = o.eps;
-  return c;
 }
 
 /// Load level that fills with at most ~`max_items` items of the band's
@@ -264,13 +204,13 @@ Sequence zoo_stream(const std::string& workload, const std::string& allocator,
 /// One client's request stream: a 1/clients slice of the global capacity,
 /// ids remapped into a per-client residue class so concurrent clients
 /// never race an insert against its own delete.
-Sequence client_workload(const Options& o, Tick shard_capacity,
-                         std::size_t clients, std::size_t client,
-                         std::size_t point) {
+Sequence client_workload(const Options& o, std::size_t clients,
+                         std::size_t client, std::size_t point) {
+  const ShardedConfig& c = o.config;
   const std::size_t updates = std::max<std::size_t>(50, o.updates / clients);
-  SplitMix64 mix(o.seed + 7919 * point + client);
-  Sequence s = zoo_stream(o.workload, o.allocator, o.eps, shard_capacity,
-                          shard_capacity * o.shards / clients, 0.5,
+  SplitMix64 mix(c.params.seed + 7919 * point + client);
+  Sequence s = zoo_stream(o.workload, c.allocator, c.eps, c.shard_capacity,
+                          c.shard_capacity * c.shards / clients, 0.5,
                           std::max<std::size_t>(updates, 1'000), updates,
                           mix.next());
   for (Update& u : s.updates) u.id = u.id * clients + client;
@@ -280,7 +220,7 @@ Sequence client_workload(const Options& o, Tick shard_capacity,
 /// Cell-metric engine label used by the sweep: arena-backed cells
 /// register under "<engine>+arena".
 std::string engine_label(const Options& o) {
-  return o.arena ? o.engine + "+arena" : o.engine;
+  return o.config.arena ? o.config.engine + "+arena" : o.config.engine;
 }
 
 /// Exactness check: the per-shard cell counters must equal the engine's
@@ -294,7 +234,7 @@ bool counters_match_stats(const Options& o, const ShardedRunStats& stats) {
   std::uint64_t umass = 0;
   for (std::size_t s = 0; s < stats.per_shard.size(); ++s) {
     obs::MetricLabels l;
-    l.allocator = o.allocator;
+    l.allocator = o.config.allocator;
     l.engine = engine_label(o);
     l.shard = static_cast<int>(s);
     l.workload = o.workload;
@@ -359,11 +299,10 @@ struct PointResult {
 /// seam; `snap_out` (with optional periodic sampler) receives JSON-lines
 /// snapshots and the point ends with the counters-vs-stats exactness
 /// check.
-PointResult run_point(const Options& o, Tick shard_capacity,
-                      std::size_t clients, double target_qps,
+PointResult run_point(const Options& o, std::size_t clients, double target_qps,
                       std::size_t point_index, bool wire_metrics,
                       std::ostream* snap_out) {
-  ShardedConfig config = base_config(o, o.allocator, o.engine, shard_capacity);
+  ShardedConfig config = o.config;
   if (wire_metrics) {
     obs::MetricRegistry::global().reset();
     config.metrics = &obs::MetricRegistry::global();
@@ -375,8 +314,7 @@ PointResult run_point(const Options& o, Tick shard_capacity,
   streams.reserve(clients);
   std::size_t total = 0;
   for (std::size_t c = 0; c < clients; ++c) {
-    streams.push_back(
-        client_workload(o, shard_capacity, clients, c, point_index));
+    streams.push_back(client_workload(o, clients, c, point_index));
     total += streams.back().size();
   }
 
@@ -460,7 +398,7 @@ PointResult run_point(const Options& o, Tick shard_capacity,
     // own stats before tearing anything down.
     const ShardedRunStats sstats = engine.stats();
     counters_match = counters_match_stats(o, sstats);
-    for (std::size_t s = 0; s < o.shards; ++s) {
+    for (std::size_t s = 0; s < config.shards; ++s) {
       queue_high_water = std::max(queue_high_water, engine.queue_high_water(s));
     }
     if (snap_out != nullptr) {
@@ -515,8 +453,8 @@ double best_of(const std::vector<double>& v) {
 /// takes its best rep: interference on a shared box only ever slows a
 /// run down, so the max is the estimator of uncontended speed and a
 /// median would fold unrelated stalls into the reported overhead.
-OverheadResult measure_overhead(const Options& o, Tick shard_capacity,
-                                std::size_t reps, std::size_t point_base) {
+OverheadResult measure_overhead(const Options& o, std::size_t reps,
+                                std::size_t point_base) {
   OverheadResult r;
   r.clients = *std::max_element(o.clients.begin(), o.clients.end());
   std::vector<double>& off = r.off_reps;
@@ -527,9 +465,7 @@ OverheadResult measure_overhead(const Options& o, Tick shard_capacity,
     // scaling, cache warmth) cancels instead of always taxing one arm.
     const std::size_t point = point_base + rep;
     auto qps = [&](bool wired) {
-      return run_point(o, shard_capacity, r.clients, 0.0, point, wired,
-                       nullptr)
-          .achieved_qps;
+      return run_point(o, r.clients, 0.0, point, wired, nullptr).achieved_qps;
     };
     if (rep % 2 == 0) {
       off.push_back(qps(false));
@@ -586,20 +522,20 @@ VerifyResult verify_pair(const Options& o, const std::string& allocator,
                          const std::string& engine, std::size_t updates) {
   // Tick-space verify runs on wide cells so every allocator's size
   // classes resolve, independent of the latency sweep's geometry.
-  const Tick shard_capacity = o.arena ? Tick{1} << o.capacity_log2
-                                      : Tick{1} << 40;
-  const Sequence seq =
-      zoo_stream("churn", allocator, o.eps, shard_capacity,
-                 shard_capacity * o.shards, 0.7, 1'000, updates, o.seed);
+  ShardedConfig c = o.config;
+  c.allocator = allocator;
+  c.engine = engine;
+  if (!c.arena) c.shard_capacity = Tick{1} << 40;
+  const Tick capacity = c.shard_capacity * c.shards;
+  const Sequence seq = zoo_stream("churn", allocator, c.eps, c.shard_capacity,
+                                  capacity, 0.7, 1'000, updates, c.params.seed);
 
-  const ShardedConfig config = base_config(o, allocator, engine,
-                                           shard_capacity);
-  ShardedEngine batch(config);
+  ShardedEngine batch(c);
   const ShardedRunStats want = batch.run(seq);
   batch.audit();
 
-  ServingEngine serve(config);
-  (void)serve_deterministic(serve, seq, /*lanes=*/3, o.seed + 1);
+  ServingEngine serve(c);
+  (void)serve_deterministic(serve, seq, /*lanes=*/3, c.params.seed + 1);
   const ShardedRunStats got = serve.stats();
   serve.audit();
 
@@ -619,18 +555,19 @@ VerifyResult verify_pair(const Options& o, const std::string& allocator,
 
 int run(const Options& o) {
   const bool fast = report::fast_mode();
-  const Tick shard_capacity = Tick{1} << o.capacity_log2;
+  const ShardedConfig& c = o.config;
   const std::size_t sweep_updates =
       fast ? std::min<std::size_t>(o.updates, 2'000) : o.updates;
   const std::size_t verify_updates = fast ? 200 : 600;
 
   const std::string rejected =
-      scenario_rejection(o.workload, allocator_info(o.allocator), o.eps,
-                         shard_capacity, kNoFillCeiling, /*tick_native=*/true);
+      scenario_rejection(o.workload, allocator_info(c.allocator), c.eps,
+                         c.shard_capacity, kNoFillCeiling,
+                         /*tick_native=*/true);
   if (!rejected.empty()) usage_error(kTool, rejected);
 
   report::BenchJson artifact("serve");
-  artifact.set_seeds({o.seed});
+  artifact.set_seeds({c.params.seed});
   bool verify_ok = true;
 
   if (o.verify) {
@@ -647,7 +584,7 @@ int run(const Options& o) {
         Json row = Json::object();
         row.set("allocator", r.allocator)
             .set("engine", r.engine)
-            .set("shards", static_cast<std::uint64_t>(o.shards))
+            .set("shards", static_cast<std::uint64_t>(c.shards))
             .set("updates", static_cast<std::uint64_t>(r.updates))
             .set("costs_equal", std::uint64_t{r.costs_equal ? 1u : 0u})
             .set("layouts_equal",
@@ -657,7 +594,7 @@ int run(const Options& o) {
     }
     if (!o.quiet) {
       std::cout << "\ndeterministic differential vs batch ShardedEngine ("
-                << o.shards << " shards, 3 lanes):\n";
+                << c.shards << " shards, 3 lanes):\n";
       vt.print(std::cout);
     }
     std::cout << "deterministic verify: "
@@ -697,9 +634,8 @@ int run(const Options& o) {
       for (const double qps : o.qps) {
         Options po = o;
         po.updates = sweep_updates;
-        const PointResult r =
-            run_point(po, shard_capacity, clients, qps, point++,
-                      /*wire_metrics=*/true, snap_out);
+        const PointResult r = run_point(po, clients, qps, point++,
+                                        /*wire_metrics=*/true, snap_out);
         metrics_ok &= r.counters_match;
         Json crow = Json::object();
         crow.set("clients", static_cast<std::uint64_t>(r.clients))
@@ -715,7 +651,7 @@ int run(const Options& o) {
                     Table::num(r.p99_us, 4), Table::num(r.p999_us, 4),
                     Table::num(r.max_us, 4), Table::num(r.mean_us, 4)});
         Json row = Json::object();
-        row.set("shards", static_cast<std::uint64_t>(o.shards))
+        row.set("shards", static_cast<std::uint64_t>(c.shards))
             .set("clients", static_cast<std::uint64_t>(r.clients))
             .set("target_qps", r.target_qps)
             .set("achieved_qps", r.achieved_qps)
@@ -731,8 +667,8 @@ int run(const Options& o) {
     }
     if (const int rc = finish_trace(kTool, o.trace_out); rc != 0) return rc;
     if (!o.quiet) {
-      std::cout << "\nlatency sweep (" << o.allocator << ", "
-                << (o.arena ? "arena" : o.engine) << ", " << o.shards
+      std::cout << "\nlatency sweep (" << c.allocator << ", "
+                << (c.arena ? "arena" : c.engine) << ", " << c.shards
                 << " shards, " << sweep_updates
                 << " requests per point):\n";
       lt.print(std::cout);
@@ -741,8 +677,8 @@ int run(const Options& o) {
     rec.set("kind", "serve_latency")
         .set("claim", "T-SERVE")
         .set("series", "latency-sweep")
-        .set("allocator", o.allocator)
-        .set("engine", o.arena ? "arena" : o.engine)
+        .set("allocator", c.allocator)
+        .set("engine", c.arena ? "arena" : c.engine)
         .set("workload", o.workload)
         .set("rows", std::move(rows));
     artifact.add(std::move(rec));
@@ -758,8 +694,8 @@ int run(const Options& o) {
     crec.set("kind", "serve_metrics")
         .set("claim", "T-SERVE")
         .set("series", "metrics-consistency")
-        .set("allocator", o.allocator)
-        .set("engine", o.arena ? "arena" : o.engine)
+        .set("allocator", c.allocator)
+        .set("engine", c.arena ? "arena" : c.engine)
         .set("rows", std::move(consistency_rows));
     artifact.add(std::move(crec));
 
@@ -768,7 +704,7 @@ int run(const Options& o) {
       po.updates = sweep_updates;
       const std::size_t reps = fast ? 3 : 9;
       const OverheadResult ov =
-          measure_overhead(po, shard_capacity, reps, point);
+          measure_overhead(po, reps, point);
       if (!o.quiet) {
         std::cout << "\nmetrics overhead at saturation (" << ov.clients
                   << " clients, best of " << reps << "): off "
@@ -796,8 +732,8 @@ int run(const Options& o) {
       orec.set("kind", "serve_overhead")
           .set("claim", "T-SERVE")
           .set("series", "metrics-overhead")
-          .set("allocator", o.allocator)
-          .set("engine", o.arena ? "arena" : o.engine)
+          .set("allocator", c.allocator)
+          .set("engine", c.arena ? "arena" : c.engine)
           .set("rows", std::move(orows));
       artifact.add(std::move(orec));
     }

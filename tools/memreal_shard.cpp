@@ -1,10 +1,10 @@
 // memreal_shard — throughput driver for the sharded multi-cell engine.
 // Run with --help for usage.  Exit status 0 = clean, 1 = invariant
 // violation, 2 = usage error.
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "alloc/registry.h"
@@ -61,7 +61,7 @@ constexpr const char* kUsage = R"(memreal_shard [options]
                      between-batch rebalancer (default 0 = off)
   --seed N           workload + allocator seed (default 1)
   --capacity-log2 N  per-shard capacity 2^N ticks (default 40; 22 under
-                     --arena)
+                     --arena, where 2^N x granule must stay within 2 GiB)
   --audit-every N    full per-cell audit cadence (default 0 = final only)
   --no-validate      disable incremental per-update validation
   --json FILE        also write the results as JSON to FILE
@@ -81,26 +81,13 @@ verification under --arena).
 )";
 
 struct Options {
-  std::string allocator = "simple";
-  std::string engine = "validated";
-  bool arena = false;
-  Tick bytes_per_tick = 8;
-  bool verify_payloads = true;
-  std::size_t shards = 8;
-  std::size_t threads = 0;
-  double eps = 1.0 / 64;
-  std::string router = "hash";
+  /// The cells plus the batch engine's knobs (threads, router, batch,
+  /// rebalance, audit cadence, validation, payload checks).
+  ShardedConfig config;
   std::string workload = "churn";
   std::size_t updates = 20'000;
   std::size_t tenants = 8;
   double zipf = 1.0;
-  std::size_t batch = 4'096;
-  double rebalance = 0.0;
-  std::uint64_t seed = 1;
-  unsigned capacity_log2 = 40;
-  bool capacity_log2_set = false;
-  std::size_t audit_every = 0;
-  bool validate = true;
   std::string json_path;
   bool metrics_summary = false;
   std::string metrics_out;
@@ -115,36 +102,17 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_error(kTool, "missing value for " + flag);
-      return argv[++i];
-    };
-    if (flag == "--help" || flag == "-h") {
-      std::fputs(kUsage, stdout);
-      std::exit(0);
-    } else if (flag == "--allocator") {
-      o.allocator = next();
-    } else if (flag == "--engine") {
-      parse_engine(kTool, next(), o.engine, o.arena);
-    } else if (flag == "--arena") {
-      o.arena = true;
-    } else if (flag == "--bytes-per-tick") {
-      o.bytes_per_tick = parse_u64(kTool, flag, next());
-      if (o.bytes_per_tick == 0) {
-        usage_error(kTool, "--bytes-per-tick must be >= 1");
-      }
-    } else if (flag == "--no-verify-payloads") {
-      o.verify_payloads = false;
-    } else if (flag == "--shards") {
-      o.shards = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
+  ShardedConfig& c = o.config;
+  c.allocator = "simple";
+  c.shards = 8;
+  c.batch_size = 4'096;
+  auto tool_flag = [&](const std::string& flag, const auto& next) {
+    if (flag == "--no-verify-payloads") {
+      c.verify_payloads = false;
     } else if (flag == "--threads") {
-      o.threads = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
-    } else if (flag == "--eps") {
-      o.eps = parse_double(kTool, flag, next());
+      c.threads = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--router") {
-      o.router = next();
+      c.router = next();
     } else if (flag == "--workload") {
       o.workload = next();
     } else if (flag == "--updates") {
@@ -154,22 +122,13 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--zipf") {
       o.zipf = parse_double(kTool, flag, next());
     } else if (flag == "--batch") {
-      o.batch = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
+      c.batch_size = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--rebalance") {
-      o.rebalance = parse_double(kTool, flag, next());
-    } else if (flag == "--seed") {
-      o.seed = parse_u64(kTool, flag, next());
-    } else if (flag == "--capacity-log2") {
-      const std::uint64_t v = parse_u64(kTool, flag, next());
-      if (v < 10 || v > 50) {
-        usage_error(kTool, "--capacity-log2 must be in [10, 50]");
-      }
-      o.capacity_log2 = static_cast<unsigned>(v);
-      o.capacity_log2_set = true;
+      c.rebalance_threshold = parse_double(kTool, flag, next());
     } else if (flag == "--audit-every") {
-      o.audit_every = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
+      c.audit_every = static_cast<std::size_t>(parse_u64(kTool, flag, next()));
     } else if (flag == "--no-validate") {
-      o.validate = false;
+      c.incremental_validation = false;
     } else if (flag == "--json") {
       o.json_path = next();
     } else if (flag == "--metrics-summary") {
@@ -183,21 +142,11 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
-      usage_error(kTool, "unknown flag '" + flag + "'");
+      return false;
     }
-  }
-  if (o.shards == 0) usage_error(kTool, "--shards must be >= 1");
-  // An arena shard carries a real byte payload per tick; the tick-only
-  // default capacity would ask for terabytes of physical arena.
-  if (o.arena && !o.capacity_log2_set) o.capacity_log2 = 22;
-  // The global workload spans shards * 2^capacity-log2 ticks; reject
-  // combinations that would wrap the tick space.
-  if (o.shards > (std::numeric_limits<Tick>::max() >> o.capacity_log2)) {
-    usage_error(kTool, "--shards x 2^capacity-log2 overflows the tick space");
-  }
-  if (o.eps <= 0.0 || o.eps >= 1.0) {
-    usage_error(kTool, "--eps must be in (0, 1)");
-  }
+    return true;
+  };
+  parse_cell_args(argc, argv, kTool, kUsage, c, tool_flag);
   return o;
 }
 
@@ -206,39 +155,41 @@ Options parse_args(int argc, char** argv) {
 /// live-mass budget spans all shards (global capacity = shards *
 /// shard_capacity).  An inadmissible pair is a usage error naming the
 /// compatible scenarios.
-Sequence make_workload(const Options& o, Tick shard_capacity) {
-  const AllocatorInfo info = allocator_info(o.allocator);
+Sequence make_workload(const Options& o) {
+  const ShardedConfig& c = o.config;
+  const AllocatorInfo info = allocator_info(c.allocator);
   const std::string rejected = scenario_rejection(
-      o.workload, info, o.eps, shard_capacity, kNoFillCeiling);
+      o.workload, info, c.eps, c.shard_capacity, kNoFillCeiling);
   if (!rejected.empty()) usage_error(kTool, rejected);
-  ScenarioParams p =
-      scenario_params_for(info, o.eps, shard_capacity, o.updates, o.seed);
-  p.capacity = shard_capacity * o.shards;
+  ScenarioParams p = scenario_params_for(info, c.eps, c.shard_capacity,
+                                         o.updates, c.params.seed);
+  p.capacity = c.shard_capacity * c.shards;
   p.tenants = o.tenants;
   p.palette = o.tenants;
   p.zipf_s = o.zipf;
-  p.bytes_per_tick = o.bytes_per_tick;
+  p.bytes_per_tick = c.bytes_per_tick;
   return make_scenario(o.workload, p);
 }
 
 Json results_json(const Options& o, const ShardedEngine& engine,
                   const Sequence& seq, const ShardedRunStats& stats) {
+  const ShardedConfig& c = o.config;
   Json config = Json::object();
-  config.set("allocator", o.allocator)
-      .set("engine", o.engine)
-      .set("arena", o.arena)
-      .set("bytes_per_tick", o.bytes_per_tick)
-      .set("shards", static_cast<std::uint64_t>(o.shards))
+  config.set("allocator", c.allocator)
+      .set("engine", c.engine)
+      .set("arena", c.arena)
+      .set("bytes_per_tick", c.bytes_per_tick)
+      .set("shards", static_cast<std::uint64_t>(c.shards))
       .set("threads", static_cast<std::uint64_t>(engine.thread_count()))
-      .set("eps", o.eps)
-      .set("router", o.router)
+      .set("eps", c.eps)
+      .set("router", c.router)
       .set("workload", seq.name)
-      .set("batch", static_cast<std::uint64_t>(o.batch))
-      .set("rebalance_threshold", o.rebalance)
-      .set("seed", o.seed)
+      .set("batch", static_cast<std::uint64_t>(c.batch_size))
+      .set("rebalance_threshold", c.rebalance_threshold)
+      .set("seed", c.params.seed)
       .set("shard_capacity_log2",
-           static_cast<std::uint64_t>(o.capacity_log2))
-      .set("validated", o.validate);
+           static_cast<std::uint64_t>(std::countr_zero(c.shard_capacity)))
+      .set("validated", c.incremental_validation);
 
   Json global = Json::object();
   global.set("updates", static_cast<std::uint64_t>(stats.global.updates))
@@ -249,7 +200,7 @@ Json results_json(const Options& o, const ShardedEngine& engine,
       .set("max_cost", stats.global.max_cost())
       .set("moved_mass", stats.global.moved_mass)
       .set("update_mass", stats.global.update_mass);
-  if (o.arena) {
+  if (c.arena) {
     global.set("moved_bytes", stats.global.moved_bytes)
         .set("bytes_per_second",
              stats.global.wall_seconds > 0.0
@@ -293,32 +244,14 @@ Json results_json(const Options& o, const ShardedEngine& engine,
 }
 
 int run(const Options& o) {
-  const Tick shard_capacity = Tick{1} << o.capacity_log2;
-
-  ShardedConfig config;
-  config.engine = o.engine;
-  config.allocator = o.allocator;
-  config.arena = o.arena;
-  config.bytes_per_tick = o.bytes_per_tick;
-  config.verify_payloads = o.verify_payloads;
-  config.params.eps = o.eps;
-  config.params.seed = o.seed;
-  config.shards = o.shards;
-  config.shard_capacity = shard_capacity;
-  config.eps = o.eps;
-  config.router = o.router;
-  config.threads = o.threads;
-  config.batch_size = o.batch;
-  config.rebalance_threshold = o.rebalance;
-  config.incremental_validation = o.validate;
-  config.audit_every = o.audit_every;
+  ShardedConfig config = o.config;
   if (o.metrics_wired()) {
     obs::MetricRegistry::global().reset();
     config.metrics = &obs::MetricRegistry::global();
     config.workload_label = o.workload;
   }
 
-  const Sequence seq = make_workload(o, shard_capacity);
+  const Sequence seq = make_workload(o);
   ShardedEngine engine(config);
   start_trace(o.trace_out);
   const ShardedRunStats stats = engine.run(seq);
@@ -346,13 +279,13 @@ int run(const Options& o) {
               << stats.migrated_mass << " ticks)\n";
   }
   std::cout << seq.name << ": " << stats.global.updates << " updates over "
-            << o.shards << " shards x " << engine.thread_count()
+            << config.shards << " shards x " << engine.thread_count()
             << " threads in " << Table::num(stats.global.wall_seconds, 4)
             << " s = " << Table::num(stats.updates_per_second(), 6)
             << " updates/s (mean cost "
             << Table::num(stats.global.mean_cost(), 4) << ", ratio cost "
             << Table::num(stats.global.ratio_cost(), 4) << ")\n";
-  if (o.arena) {
+  if (config.arena) {
     std::cout << "arena: " << stats.global.moved_bytes
               << " bytes physically moved ("
               << Table::num(stats.global.wall_seconds > 0.0
@@ -361,7 +294,7 @@ int run(const Options& o) {
                                       stats.global.wall_seconds
                                 : 0.0,
                             6)
-              << " bytes/s, granule " << o.bytes_per_tick
+              << " bytes/s, granule " << config.bytes_per_tick
               << " bytes/tick)\n";
   }
 
