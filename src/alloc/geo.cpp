@@ -237,40 +237,58 @@ void GeoAllocator::rebuild_level(int j0) {
                         "Lemma 4.2 violated: I_j member outside level j0-1");
     }
   }
-  // Stable counting sort of the suffix by new label (I_j to the right of
-  // its complement, for every j >= j0); labels span [j0-1, ell].
+  // Regroup the suffix by new label, stably (I_j to the right of its
+  // complement, for every j >= j0; labels span [j0-1, ell]).  A rebuild
+  // relabels few items, so the new labels form few runs: each run moves
+  // as one block, to the start of its label's group plus the length of
+  // the earlier runs of that label.
+  label_runs_.clear();
   label_start_.assign(static_cast<std::size_t>(ell_ - base) + 2, 0);
-  for (const int lbl : new_label_) {
-    ++label_start_[static_cast<std::size_t>(lbl - base) + 1];
+  for (std::size_t k = 0; k < len; ++k) {
+    const int lbl = new_label_[k];
+    label_[order_h_[ss + k]] = lbl;
+    if (label_runs_.empty() || label_runs_.back().label != lbl) {
+      label_runs_.push_back(LabelRun{k, 0, 0, lbl});
+    }
+    ++label_runs_.back().len;
+  }
+  for (const LabelRun& run : label_runs_) {
+    label_start_[static_cast<std::size_t>(run.label - base) + 1] += run.len;
   }
   for (std::size_t b = 1; b < label_start_.size(); ++b) {
     label_start_[b] += label_start_[b - 1];
   }
-  sorted_.resize(len);
-  sorted_h_.resize(len);
-  for (std::size_t k = 0; k < len; ++k) {
-    const std::uint32_t h = order_h_[ss + k];
-    const int lbl = new_label_[k];
-    const std::size_t dst =
-        label_start_[static_cast<std::size_t>(lbl - base)]++;
-    sorted_[dst] = order_[ss + k];
-    sorted_h_[dst] = h;
-    label_[h] = lbl;
-    pos_[h] = ss + dst;
+  // The suffix is contiguous before the regroup, and every item of a run
+  // that stays keeps its offset, so only the stretch [first, last) between
+  // the outermost moved runs is a permutation of itself that changes.
+  std::size_t first = len;
+  std::size_t last = 0;
+  for (LabelRun& run : label_runs_) {
+    run.dst = label_start_[static_cast<std::size_t>(run.label - base)];
+    label_start_[static_cast<std::size_t>(run.label - base)] += run.len;
+    if (run.dst != run.start) {
+      first = std::min(first, run.start);
+      last = std::max(last, run.start + run.len);
+    }
   }
-  // The suffix is contiguous before the sort, so the items it left in
-  // place at either end keep their offsets (the stretch between is a
-  // permutation of itself): only that stretch is relaid.
-  std::size_t first = 0;
-  while (first < len && sorted_h_[first] == order_h_[ss + first]) ++first;
-  std::size_t last = len;
-  while (last > first && sorted_h_[last - 1] == order_h_[ss + last - 1]) {
-    --last;
+  if (first >= last) return;
+  sorted_.resize(last - first);
+  sorted_h_.resize(last - first);
+  for (const LabelRun& run : label_runs_) {
+    if (run.start < first || run.start >= last) continue;
+    const auto from = static_cast<std::ptrdiff_t>(ss + run.start);
+    const auto n = static_cast<std::ptrdiff_t>(run.len);
+    const auto to = static_cast<std::ptrdiff_t>(run.dst - first);
+    std::copy(order_.begin() + from, order_.begin() + from + n,
+              sorted_.begin() + to);
+    std::copy(order_h_.begin() + from, order_h_.begin() + from + n,
+              sorted_h_.begin() + to);
   }
-  const auto at = static_cast<std::ptrdiff_t>(ss);
+  const auto at = static_cast<std::ptrdiff_t>(ss + first);
   std::copy(sorted_.begin(), sorted_.end(), order_.begin() + at);
   std::copy(sorted_h_.begin(), sorted_h_.end(), order_h_.begin() + at);
-  if (first < last) place_run(ss + first, ss + last);
+  for (std::size_t k = ss + first; k < ss + last; ++k) pos_[order_h_[k]] = k;
+  place_run(ss + first, ss + last);
 }
 
 void GeoAllocator::bump_counters_and_rebuild(std::size_t cls,

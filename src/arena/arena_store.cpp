@@ -71,7 +71,7 @@ ArenaStore::Payload& ArenaStore::record(ItemId id) {
 
 void ArenaStore::charge(Tick bytes) {
   bytes_in_update_ += bytes;
-  total_bytes_ += bytes;
+  total_bytes_ = checked_add(total_bytes_, bytes, "total moved bytes");
   ++moves_;
   options_.metrics.on_move(bytes);
 }

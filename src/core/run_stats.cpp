@@ -12,15 +12,20 @@ double RunStats::ratio_cost() const {
 void RunStats::record(bool is_insert, Tick update_size, Tick moved,
                       Tick bytes) {
   MEMREAL_CHECK(update_size > 0);
+  // Every total is checked before any field changes, so the update that
+  // would wrap one throws and leaves the stats as they were.
+  const Tick new_moved = checked_add(moved_mass, moved, "moved mass");
+  const Tick new_update = checked_add(update_mass, update_size, "update mass");
+  const Tick new_bytes = checked_add(moved_bytes, bytes, "moved bytes");
   ++updates;
   if (is_insert) {
     ++inserts;
   } else {
     ++deletes;
   }
-  moved_mass += moved;
-  update_mass += update_size;
-  moved_bytes += bytes;
+  moved_mass = new_moved;
+  update_mass = new_update;
+  moved_bytes = new_bytes;
   const double c =
       static_cast<double>(moved) / static_cast<double>(update_size);
   cost.add(c);
@@ -59,12 +64,18 @@ Json RunStats::to_json() const {
 }
 
 void RunStats::merge(const RunStats& other) {
+  const Tick new_moved =
+      checked_add(moved_mass, other.moved_mass, "moved mass");
+  const Tick new_update =
+      checked_add(update_mass, other.update_mass, "update mass");
+  const Tick new_bytes =
+      checked_add(moved_bytes, other.moved_bytes, "moved bytes");
   updates += other.updates;
   inserts += other.inserts;
   deletes += other.deletes;
-  moved_mass += other.moved_mass;
-  update_mass += other.update_mass;
-  moved_bytes += other.moved_bytes;
+  moved_mass = new_moved;
+  update_mass = new_update;
+  moved_bytes = new_bytes;
   cost.merge(other.cost);
   insert_cost.merge(other.insert_cost);
   delete_cost.merge(other.delete_cost);

@@ -51,7 +51,7 @@ void Memory::begin_update(Tick update_size, bool is_insert) {
 Tick Memory::end_update() {
   MEMREAL_CHECK_MSG(in_update_, "end_update without begin_update");
   in_update_ = false;
-  total_moved_ += moved_;
+  total_moved_ = checked_add(total_moved_, moved_, "total moved mass");
   ++updates_;
   std::unordered_set<ItemId> dirty;
   dirty.swap(dirty_);

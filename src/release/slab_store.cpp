@@ -92,7 +92,7 @@ Tick SlabStore::end_update() {
   MEMREAL_CHECK_MSG(in_update_, "end_update without begin_update");
   settle();
   in_update_ = false;
-  total_moved_ += moved_;
+  total_moved_ = checked_add(total_moved_, moved_, "total moved mass");
   ++updates_;
   return moved_;
 }
@@ -168,12 +168,19 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
     return offset;
   }
   // Partial run (covering-set compaction, GEO level rebuilds).  It starts
-  // with nothing queued, so its moved slots, collected in pending_ while
-  // still indexed where they were, join the queue in run order — key
-  // order — and never mix with earlier queued slots.
-  if (!pending_.empty()) settle();
+  // on an exact index, so its slots' positions are final and its moved
+  // slots, collected in pending_ while still indexed where they were, can
+  // join the queue in run order — key order — without mixing with earlier
+  // queued slots.
+  settle();
+  run_slots_.clear();
+  std::size_t lo = by_offset_.size();
+  std::size_t hi = 0;
   for (const ItemId id : ids) {
     const std::uint32_t slot = slot_of(id);
+    run_slots_.push_back(slot);
+    lo = std::min<std::size_t>(lo, index_pos_[slot]);
+    hi = std::max<std::size_t>(hi, index_pos_[slot]);
     if (offsets_[slot] != offset) {
       offsets_[slot] = offset;
       moved_ += sizes_[slot];
@@ -183,11 +190,30 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   }
   // Unmoved slots kept their keys, so the index is still in order iff
   // every moved slot fits between its neighbours: then they all stay
-  // (every compaction run).  Otherwise they all queue.
-  if (std::all_of(pending_.begin(), pending_.end(), [this](std::uint32_t s) {
-        return fits_at(index_pos_[s], s);
-      })) {
+  // (every compaction run).  Otherwise, when the run's slots fill the
+  // index window [lo, hi] alone and its new first and last keys fit
+  // against the entries just outside it, the window is rewritten in run
+  // order (every GEO rebuild: the run permutes its own stretch of
+  // memory).  Anything else queues all moved slots.
+  const auto fits_in_place = [this](std::uint32_t s) {
+    return fits_at(index_pos_[s], s);
+  };
+  const auto fits_window = [&] {
+    if (hi - lo + 1 != ids.size()) return false;
+    if (lo > 0 && !slot_less(by_offset_[lo - 1], run_slots_.front())) {
+      return false;
+    }
+    return hi + 1 == by_offset_.size() ||
+           slot_less(run_slots_.back(), by_offset_[hi + 1]);
+  };
+  if (std::all_of(pending_.begin(), pending_.end(), fits_in_place)) {
     pending_.clear();
+  } else if (fits_window()) {
+    pending_.clear();
+    for (std::size_t k = 0; k < run_slots_.size(); ++k) {
+      by_offset_[lo + k] = run_slots_[k];
+      index_pos_[run_slots_[k]] = static_cast<std::uint32_t>(lo + k);
+    }
   } else {
     for (std::size_t k = 0; k < pending_.size(); ++k) {
       const std::uint32_t slot = pending_[k];

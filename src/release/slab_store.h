@@ -31,19 +31,23 @@
 // (offset, id)-ordered against its nearest settled index neighbours is
 // written in place (two array writes, two comparisons: every compaction
 // move and rightmost placement); anything else leaves a hole in by_offset_
-// and/or joins pending_, in O(1).  A partial apply_run applies the rule
-// once its run has landed — all moved slots stay, or all queue in run
-// (= key) order — and a run covering every item (SIMPLE's rebuild) is
-// written to by_offset_ directly.  settle() repairs the index: it sorts
-// the queue if needed, drops the holes and merges the queue back in
-// place, rewriting only the stretch of by_offset_ that changes.  It runs
-// at end_update, at the first ordered query inside an update, and before
-// a partial run when slots are queued (so a run's queue needs no sort),
-// so per-item moves pay one repair per update: a TINYSLAB unit rotation
-// costs O(n + m log m), not one O(n) shift per move.  Between updates the
-// index is exact and const queries write nothing, so shared-lock readers
-// stay race-free.  The span cache is a lazily recomputed scalar:
-// span_end() is rarely read between updates.
+// and/or joins pending_, in O(1).  A partial apply_run settles the index
+// first and applies the rule once its run has landed: all moved slots
+// stay, or, when the run's slots alone fill one index window and its new
+// first and last keys fit against the entries just outside it, the window
+// is rewritten in run (= key) order — the window write, one sequential
+// pass that takes every GEO level rebuild, whose run permutes its own
+// stretch of memory; otherwise all moved slots queue in run order.  A run
+// covering every item (SIMPLE's rebuild) is written to by_offset_
+// directly.  settle() repairs the index: it sorts the queue if needed,
+// drops the holes and merges the queue back in place, rewriting only the
+// stretch of by_offset_ that changes.  It runs at end_update, at the first
+// ordered query inside an update, and before a partial run, so per-item
+// moves pay one repair per update: a TINYSLAB unit rotation costs
+// O(n + m log m), not one O(n) shift per move.  Between updates the index
+// is exact and const queries write nothing, so shared-lock readers stay
+// race-free.  The span cache is a lazily recomputed scalar: span_end() is
+// rarely read between updates.
 //
 // The (offset, id) sort key matches Memory's index exactly, so every
 // ordered query (item_at, first_at_or_after, neighbors_of, snapshot, ...)
@@ -281,6 +285,8 @@ class SlabStore final : public LayoutStore {
   mutable std::size_t holes_ = 0;
   mutable std::size_t first_hole_ = 0;  ///< valid while holes_ > 0
   mutable std::size_t last_hole_ = 0;   ///< valid while holes_ > 0
+  /// apply_run scratch: the run's slots, in run order.
+  std::vector<std::uint32_t> run_slots_;
 
   Tick live_mass_ = 0;
   Tick extent_mass_ = 0;

@@ -209,7 +209,7 @@ void ShardedEngine::migrate(ItemId id, std::size_t to_shard) {
   live_mass_[from] -= size;
   live_mass_[to_shard] += size;
   ++migrations_;
-  migrated_mass_ += size;
+  migrated_mass_ = checked_add(migrated_mass_, size, "migrated mass");
   if (router_metrics_.migrations != nullptr) {
     router_metrics_.migrations->inc();
     router_metrics_.migrated_ticks->add(size);

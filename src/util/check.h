@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,3 +70,30 @@ namespace detail {
                                       memreal_os_.str());                \
     }                                                                    \
   } while (0)
+
+namespace memreal {
+
+namespace detail {
+[[noreturn, gnu::cold, gnu::noinline]] inline void overflow_failed(
+    const char* what, std::uint64_t a, std::uint64_t b) {
+  std::ostringstream os;
+  os << what << " overflows 64 bits: " << a << " + " << b;
+  check_failed("a + b < 2^64", __FILE__, __LINE__, os.str());
+}
+}  // namespace detail
+
+/// a + b for a running mass or byte total; throws InvariantViolation when
+/// the sum would wrap past 2^64 - 1 (`what` names the total), so a wrapped
+/// total can never turn into a plausible-looking cost ratio.  The failure
+/// path stays out of line: the hot callers keep one add and one branch.
+[[nodiscard]] inline std::uint64_t checked_add(std::uint64_t a,
+                                               std::uint64_t b,
+                                               const char* what) {
+  std::uint64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) [[unlikely]] {
+    detail::overflow_failed(what, a, b);
+  }
+  return sum;
+}
+
+}  // namespace memreal

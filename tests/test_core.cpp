@@ -2,9 +2,11 @@
 // from Section 3).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "harness/cell.h"
 #include "mem/memory.h"
 #include "testing.h"
 #include "util/check.h"
@@ -134,6 +136,40 @@ TEST(RunStats, MergeAddsUp) {
   EXPECT_EQ(a.update_mass, 150u);
   EXPECT_EQ(a.inserts, 1u);
   EXPECT_EQ(a.deletes, 1u);
+}
+
+TEST(RunStats, MergeRejectsAWrappingTotal) {
+  RunStats a, b;
+  a.record(true, Tick{1} << 63, 0);
+  b.record(true, Tick{1} << 63, 0);
+  EXPECT_THROW(a.merge(b), InvariantViolation);
+  EXPECT_EQ(a.updates, 1u);  // the failed merge changed nothing
+  EXPECT_EQ(a.update_mass, Tick{1} << 63);
+}
+
+TEST(RunStats, MassTotalsThrowAtTheUpdateThatWouldWrap) {
+  // FOLKLORE-COMPACT at capacity 2^62, eps 1/4, one 2^61-tick item at a
+  // time inserted and deleted five times: 10 x 2^61 ticks of update mass
+  // pass 2^64.  Unchecked, update_mass wraps to 2^62 and ratio_cost()
+  // reads 2.5 against a mean_cost() of 0.5.  The eighth update, the first
+  // to reach 2^64, must throw instead, on either engine.
+  constexpr Tick kCapacity = Tick{1} << 62;
+  constexpr Tick kSize = Tick{1} << 61;
+  for (const std::string engine : {"validated", "release"}) {
+    CellConfig config;
+    config.engine = engine;
+    config.allocator = "folklore-compact";
+    config.params.eps = 0.25;
+    Cell cell(kCapacity, Eps::of(0.25, kCapacity).ticks, config);
+    for (ItemId id = 0; id < 4; ++id) {
+      cell.step(Update::insert(id, kSize));
+      if (id < 3) cell.step(Update::erase(id, kSize));
+    }
+    EXPECT_THROW(cell.step(Update::erase(3, kSize)), InvariantViolation)
+        << engine;
+    EXPECT_EQ(cell.stats().updates, 7u) << engine;
+    EXPECT_EQ(cell.stats().update_mass, 7 * kSize) << engine;
+  }
 }
 
 TEST(Update, FactoryAndEquality) {

@@ -31,6 +31,7 @@
 #include "alloc/registry.h"
 #include "harness/cell.h"
 #include "mem/memory.h"
+#include "perfadv/zoo.h"
 #include "release/slab_store.h"
 #include "shard/sharded_engine.h"
 #include "testing.h"
@@ -314,6 +315,28 @@ TEST(Lockstep, CombinedHugeTinyAndSwapHeavyDeletes) {
   const auto [huge_inserts, huge_deletes] = huge_updates(seq, huge_lo);
   EXPECT_GT(huge_inserts, 0u);
   EXPECT_GT(huge_deletes, 0u);
+}
+
+TEST(Lockstep, CombinedAtTheBenchmarkCellGeometry) {
+  // perfbench's cell_combined shape: COMBINED on zoo churn, eps 1/32,
+  // 2^40 ticks, sizes in the top 16x of the band.  A GEO rebuild here
+  // relabels a handful of items in a suffix of hundreds, so its run
+  // permutes its own stretch of the release store's index (the window
+  // write), while every GEO delete's compaction keeps the in-place path.
+  constexpr double kEps = 1.0 / 32;
+  constexpr Tick kCapacity = Tick{1} << 40;
+  ScenarioParams p = scenario_params_for(allocator_info("combined"), kEps,
+                                         kCapacity, /*updates=*/600,
+                                         /*seed=*/1);
+  p.min_size = p.max_size / 16;
+  const Sequence seq = make_scenario("churn", p);
+
+  const GeoOf geo_of = [](Cell& cell) -> const GeoAllocator& {
+    return dynamic_cast<const CombinedAllocator&>(cell.allocator()).geo();
+  };
+  const GeoCoverage cov = lockstep_geo("combined", seq, geo_of);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GT(cov.level_rebuilds, seq.size() / 2);
 }
 
 // A sharded run's routing is engine-independent, so the per-shard layouts
@@ -636,6 +659,76 @@ TEST(SlabStore, PartialRunKeepingOrderOnlyCompacts) {
   t.run({4, 5, 6}, 20);
   t.end_and_compare();
   EXPECT_EQ(t.slab().offset_of(6), 40u);
+}
+
+TEST(SlabStore, PartialRunPermutingItsOwnIndexWindow) {
+  // A GEO rebuild's shape: items 2..6 fill the index stretch between 1
+  // and 7 alone, and the run re-lays them in a new order inside the same
+  // memory, so its first and last keys still fit against 1 and 7.  The
+  // stretch is rewritten in run order at once: queries inside the update
+  // must already see the new order, before and after a second mutation.
+  TwinStores t({0, 10, 20, 30, 40, 50, 60}, {10, 10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.run({5, 2, 6, 3, 4}, 10);
+  t.compare_queries("after the window run");
+  t.move(7, 70);
+  t.compare_queries("after a later move");
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(5), 10u);
+  EXPECT_EQ(t.slab().offset_of(4), 50u);
+  ASSERT_TRUE(t.slab().item_at(25).has_value());
+  EXPECT_EQ(t.slab().item_at(25)->id, 2u);
+  const auto around = t.slab().neighbors_of(6);
+  ASSERT_TRUE(around.prev.has_value() && around.next.has_value());
+  EXPECT_EQ(around.prev->id, 2u);
+  EXPECT_EQ(around.next->id, 3u);
+}
+
+TEST(SlabStore, PartialRunWhoseWindowHoldsAnOutsideSlotQueues) {
+  // 4 and 2 are re-laid at 10 and 20, but 3, between them in the index,
+  // is not in the run: the run's slots do not fill a window alone.  3 is
+  // moved out of the way afterwards, in the same update.
+  TwinStores t({0, 10, 20, 30, 40, 60}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.run({4, 2}, 10);
+  t.compare_queries("after the run");
+  t.move(3, 30);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(4), 10u);
+  EXPECT_EQ(t.slab().offset_of(2), 20u);
+  EXPECT_EQ(t.slab().offset_of(3), 30u);
+}
+
+TEST(SlabStore, PartialRunPassingItsRightNeighbourQueues) {
+  // 3 and 2 fill their window alone, but the run lands them at 30 and
+  // 40, past 4 (at 30): its last key no longer fits against the entry
+  // right of the window.  4 then moves left into the gap.
+  TwinStores t({0, 10, 20, 30, 50}, {10, 10, 10, 10, 10});
+  t.begin();
+  t.run({3, 2}, 30);
+  t.compare_queries("after the run");
+  t.move(4, 10);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(4), 10u);
+  EXPECT_EQ(t.slab().offset_of(3), 30u);
+  EXPECT_EQ(t.slab().offset_of(2), 40u);
+}
+
+TEST(SlabStore, PartialRunAfterARemoveInTheSameUpdate) {
+  // The removal leaves a hole in the index just left of the run's slots;
+  // the run settles it before placing its slots, here reversing 3..5
+  // into the freed memory, and a second run then jumps 6 left over them.
+  TwinStores t({0, 10, 20, 30, 40, 60}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.remove(2);
+  t.run({5, 4, 3}, 10);
+  t.compare_queries("after the run");
+  t.run({6}, 0);
+  t.move(1, 40);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(6), 0u);
+  EXPECT_EQ(t.slab().offset_of(5), 10u);
+  EXPECT_EQ(t.slab().offset_of(3), 30u);
 }
 
 TEST(SlabStore, QueuedSlotRemovedInTheSameUpdate) {
