@@ -71,7 +71,7 @@ Tick FlexHashAllocator::unit_offset(std::size_t unit) const {
 void FlexHashAllocator::on_unit_created(std::size_t unit) {
   MEMREAL_CHECK(unit == perm_.size());
   perm_.push_back(slot_hi_);
-  slot_of_[slot_hi_] = unit;
+  unit_at_.push_back(unit);
   ++slot_hi_;
 }
 
@@ -79,16 +79,15 @@ void FlexHashAllocator::on_unit_destroyed(std::size_t unit) {
   MEMREAL_CHECK(unit + 1 == perm_.size());
   const long long s = perm_[unit];
   perm_.pop_back();
-  slot_of_.erase(s);
   if (s != slot_hi_ - 1) {
     // Swap the physically final unit into the vacated slot (the paper's
     // memory-unit swap for TINYHASH resize operations).
-    const std::size_t v = slot_of_.at(slot_hi_ - 1);
-    slot_of_.erase(slot_hi_ - 1);
+    const std::size_t v = unit_at_.back();
     perm_[v] = s;
-    slot_of_[s] = v;
+    unit_at_[static_cast<std::size_t>(s - slot_lo_)] = v;
     tiny_->replace_unit_items(v);
   }
+  unit_at_.pop_back();
   --slot_hi_;
 }
 
@@ -99,10 +98,10 @@ void FlexHashAllocator::rotate_front_to_end(std::size_t type) {
     ++slot_lo_;
     ++slot_hi_;
   } else {
-    const std::size_t v = slot_of_.at(slot_lo_);
-    slot_of_.erase(slot_lo_);
+    const std::size_t v = unit_at_.front();
+    unit_at_.pop_front();
+    unit_at_.push_back(v);
     perm_[v] = slot_hi_;
-    slot_of_[slot_hi_] = v;
     ++slot_lo_;
     ++slot_hi_;
     tiny_->replace_unit_items(v);
@@ -116,10 +115,10 @@ void FlexHashAllocator::rotate_end_to_front(std::size_t type) {
     --slot_lo_;
     --slot_hi_;
   } else {
-    const std::size_t v = slot_of_.at(slot_hi_ - 1);
-    slot_of_.erase(slot_hi_ - 1);
+    const std::size_t v = unit_at_.back();
+    unit_at_.pop_back();
+    unit_at_.push_front(v);
     perm_[v] = slot_lo_ - 1;
-    slot_of_[slot_lo_ - 1] = v;
     --slot_lo_;
     --slot_hi_;
     tiny_->replace_unit_items(v);
@@ -130,12 +129,9 @@ void FlexHashAllocator::rotate_end_to_front(std::size_t type) {
 void FlexHashAllocator::bulk_shift(std::size_t type,
                                    long long delta_units) {
   if (delta_units == 0) return;
+  // unit_at_ is relative to slot_lo_, so it shifts with the window.
   slot_lo_ += delta_units;
   slot_hi_ += delta_units;
-  std::unordered_map<long long, std::size_t> shifted;
-  shifted.reserve(slot_of_.size());
-  for (const auto& [slot, u] : slot_of_) shifted[slot + delta_units] = u;
-  slot_of_ = std::move(shifted);
   for (auto& p : perm_) p += delta_units;
   B_[type] += delta_units * static_cast<long long>(M_);
   for (std::size_t u = 0; u < perm_.size(); ++u) {
@@ -216,10 +212,11 @@ void FlexHashAllocator::check_invariants() const {
   MEMREAL_CHECK(perm_.size() == tiny_->unit_count());
   MEMREAL_CHECK(slot_hi_ - slot_lo_ ==
                 static_cast<long long>(perm_.size()));
+  MEMREAL_CHECK(unit_at_.size() == perm_.size());
   for (std::size_t u = 0; u < perm_.size(); ++u) {
     MEMREAL_CHECK(perm_[u] >= slot_lo_ && perm_[u] < slot_hi_);
-    auto it = slot_of_.find(perm_[u]);
-    MEMREAL_CHECK(it != slot_of_.end() && it->second == u);
+    MEMREAL_CHECK(unit_at_[static_cast<std::size_t>(perm_[u] - slot_lo_)] ==
+                  u);
   }
   tiny_->check_invariants();
 }

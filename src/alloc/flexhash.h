@@ -17,15 +17,16 @@
 //    R ~ U(2M, 4M) is crossed (Lemma 4.3 randomness, overflow carried).
 //
 // The physical unit array lives at fixed absolute "slots": slot s sits at
-// anchor + s*M.  Rotations slide the live slot window [slot_lo, slot_hi);
+// anchor + s*M.  Rotations slide the live slot window [slot_lo, slot_hi)
+// (a pop on one end of the window's unit deque and a push on the other);
 // unit creation appends at slot_hi; unit destruction swaps the physically
 // last unit into the vacated slot (the memory-unit swap the paper
 // describes for resize operations).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/tinyslab.h"
@@ -103,7 +104,8 @@ class FlexHashAllocator final : public Allocator, public UnitSpace {
   long long slot_lo_ = 0;   ///< live slots: [slot_lo_, slot_hi_)
   long long slot_hi_ = 0;
   std::vector<long long> perm_;  ///< logical unit -> slot
-  std::unordered_map<long long, std::size_t> slot_of_;
+  /// Slot -> logical unit over the live window: unit_at_[s - slot_lo_].
+  std::deque<std::size_t> unit_at_;
 
   std::size_t num_types_ = 0;
   std::vector<long long> B_;          ///< buffer accounts, in [0, 16M]

@@ -118,11 +118,10 @@ std::size_t GeoAllocator::class_of_size(Tick size) const {
 
 std::uint32_t GeoAllocator::bind_handle(ItemId id) {
   const std::uint32_t h = free_handles_.empty()
-                              ? static_cast<std::uint32_t>(label_.size())
+                              ? static_cast<std::uint32_t>(cls_.size())
                               : free_handles_.back();
   MEMREAL_CHECK_MSG(handle_.insert(id, h), "duplicate id " << id);
-  if (h == label_.size()) {
-    label_.push_back(0);
+  if (h == cls_.size()) {
     cls_.push_back(0);
     pos_.push_back(0);
   } else {
@@ -151,6 +150,7 @@ void GeoAllocator::order_erase(std::size_t k) {
   const auto at = static_cast<std::ptrdiff_t>(k);
   order_.erase(order_.begin() + at);
   order_h_.erase(order_h_.begin() + at);
+  order_label_.erase(order_label_.begin() + at);
 }
 
 void GeoAllocator::place_run(std::size_t from, std::size_t to) {
@@ -167,19 +167,10 @@ void GeoAllocator::apply_layout(std::size_t from) {
 }
 
 std::size_t GeoAllocator::suffix_start_for_label(int label) const {
-  // order_ is sorted by label (huge = -1 first).  Binary search for the
-  // first index whose label >= label.
-  std::size_t lo = 0;
-  std::size_t hi = order_.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (label_[order_h_[mid]] < label) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  // order_ is sorted by label (huge = -1 first).
+  return static_cast<std::size_t>(
+      std::lower_bound(order_label_.begin(), order_label_.end(), label) -
+      order_label_.begin());
 }
 
 std::size_t GeoAllocator::level_item_count(int j) const {
@@ -207,6 +198,7 @@ void GeoAllocator::rebuild_level(int j0) {
   new_label_.assign(len, base);
   for (std::size_t i = 0; i < class_lo_.size(); ++i) {
     const std::vector<ClassEntry>& bucket = class_items_[i];
+    if (bucket.empty()) continue;
     const std::vector<std::uint64_t>& ci = c_[i];
     const std::uint64_t take = ci[static_cast<std::size_t>(j0)];
     std::uint64_t rank = 0;
@@ -244,16 +236,13 @@ void GeoAllocator::rebuild_level(int j0) {
   // the earlier runs of that label.
   label_runs_.clear();
   label_start_.assign(static_cast<std::size_t>(ell_ - base) + 2, 0);
-  for (std::size_t k = 0; k < len; ++k) {
+  for (std::size_t k = 0; k < len;) {
     const int lbl = new_label_[k];
-    label_[order_h_[ss + k]] = lbl;
-    if (label_runs_.empty() || label_runs_.back().label != lbl) {
-      label_runs_.push_back(LabelRun{k, 0, 0, lbl});
-    }
-    ++label_runs_.back().len;
-  }
-  for (const LabelRun& run : label_runs_) {
-    label_start_[static_cast<std::size_t>(run.label - base) + 1] += run.len;
+    std::size_t end = k + 1;
+    while (end < len && new_label_[end] == lbl) ++end;
+    label_runs_.push_back(LabelRun{k, end - k, 0, lbl});
+    label_start_[static_cast<std::size_t>(lbl - base) + 1] += end - k;
+    k = end;
   }
   for (std::size_t b = 1; b < label_start_.size(); ++b) {
     label_start_[b] += label_start_[b - 1];
@@ -261,11 +250,15 @@ void GeoAllocator::rebuild_level(int j0) {
   // The suffix is contiguous before the regroup, and every item of a run
   // that stays keeps its offset, so only the stretch [first, last) between
   // the outermost moved runs is a permutation of itself that changes.
+  // Labels are written where each run lands.
   std::size_t first = len;
   std::size_t last = 0;
   for (LabelRun& run : label_runs_) {
     run.dst = label_start_[static_cast<std::size_t>(run.label - base)];
     label_start_[static_cast<std::size_t>(run.label - base)] += run.len;
+    std::fill_n(
+        order_label_.begin() + static_cast<std::ptrdiff_t>(ss + run.dst),
+        run.len, run.label);
     if (run.dst != run.start) {
       first = std::min(first, run.start);
       last = std::max(last, run.start + run.len);
@@ -351,7 +344,7 @@ void GeoAllocator::insert(ItemId id, Tick size) {
     const auto at = static_cast<std::ptrdiff_t>(huge_count_);
     order_.insert(order_.begin() + at, id);
     order_h_.insert(order_h_.begin() + at, h);
-    label_[h] = -1;
+    order_label_.insert(order_label_.begin() + at, -1);
     cls_[h] = 0;
     pos_[h] = huge_count_;
     const Tick off =
@@ -366,11 +359,11 @@ void GeoAllocator::insert(ItemId id, Tick size) {
   // Place immediately after the final item (Algorithm 3), label ell.
   const Tick off = order_.empty() ? 0 : mem_->end_of(order_.back());
   mem_->place(id, off, size);
-  label_[h] = ell_;
   cls_[h] = cls;
   pos_[h] = order_.size();
   order_.push_back(id);
   order_h_.push_back(h);
+  order_label_.push_back(ell_);
   bucket_insert(cls, size, id, h);
 
   bump_counters_and_rebuild(cls, /*is_insert=*/true);
@@ -381,8 +374,8 @@ void GeoAllocator::erase(ItemId id) {
   MEMREAL_CHECK_MSG(taken.has_value(), "erase of unknown item " << id);
   const std::uint32_t h = *taken;
   free_handles_.push_back(h);
-  const int label = label_[h];
   const std::size_t pos = pos_[h];
+  const int label = order_label_[pos];
 
   if (label < 0) {
     // Huge delete: remove and close the hole (compacts huge prefix and
@@ -410,7 +403,7 @@ void GeoAllocator::erase(ItemId id) {
     const ClassEntry* other = nullptr;
     for (const ClassEntry& e : bucket) {
       if (e.size != min_size) break;
-      if (e.id != id && label_[e.h] >= js) {
+      if (e.id != id && order_label_[pos_[e.h]] >= js) {
         other = &e;
         break;
       }
@@ -433,8 +426,7 @@ void GeoAllocator::erase(ItemId id) {
     bucket_insert(cls, my_extent, oid, oh);
     mem_->move_to(oid, slot);
     mem_->set_extent(oid, my_extent);
-    label_[oh] = label;  // I' inherits I's level and slot
-    pos_[oh] = pos;
+    pos_[oh] = pos;  // I' inherits I's slot and its label entry
     order_[pos] = oid;
     order_h_[pos] = oh;
     order_erase(q);
@@ -467,7 +459,8 @@ void GeoAllocator::erase(ItemId id) {
 void GeoAllocator::check_invariants() const {
   MEMREAL_CHECK(order_.size() == handle_.size());
   MEMREAL_CHECK(order_h_.size() == order_.size());
-  MEMREAL_CHECK(order_.size() + free_handles_.size() == label_.size());
+  MEMREAL_CHECK(order_label_.size() == order_.size());
+  MEMREAL_CHECK(order_.size() + free_handles_.size() == cls_.size());
   // Layout: contiguous extents, labels ascending, handles and positions
   // consistent.  The same pass totals the inflation waste and the
   // per-(class, label) counts.
@@ -481,18 +474,19 @@ void GeoAllocator::check_invariants() const {
   for (std::size_t k = 0; k < order_.size(); ++k) {
     const ItemId id = order_[k];
     const std::uint32_t h = order_h_[k];
-    MEMREAL_CHECK_MSG(h < label_.size() && handle_.at(id) == h,
+    const int label = order_label_[k];
+    MEMREAL_CHECK_MSG(h < cls_.size() && handle_.at(id) == h,
                       "handle map disagrees with order");
     MEMREAL_CHECK_MSG(mem_->offset_of(id) == off, "layout not contiguous");
     MEMREAL_CHECK(pos_[h] == k);
-    MEMREAL_CHECK_MSG(label_[h] >= prev_label, "labels out of order");
-    MEMREAL_CHECK_MSG((label_[h] < 0) == (k < huge_count_),
+    MEMREAL_CHECK_MSG(label >= prev_label, "labels out of order");
+    MEMREAL_CHECK_MSG((label < 0) == (k < huge_count_),
                       "huge prefix mislabelled");
-    prev_label = label_[h];
+    prev_label = label;
     off += mem_->extent_of(id);
     waste += mem_->extent_of(id) - mem_->size_of(id);
-    if (label_[h] >= 0) {
-      cnt[cls_[h]][static_cast<std::size_t>(label_[h])] += 1;
+    if (label >= 0) {
+      cnt[cls_[h]][static_cast<std::size_t>(label)] += 1;
     }
   }
   // Waste: total inflation across GEO's own items stays below eps.  (Under
@@ -520,8 +514,8 @@ void GeoAllocator::check_invariants() const {
       const ClassEntry& e = bucket[k];
       MEMREAL_CHECK(k == 0 || bucket[k - 1] < e);
       MEMREAL_CHECK(mem_->extent_of(e.id) == e.size);
-      MEMREAL_CHECK(e.h < label_.size() && pos_[e.h] < order_.size());
-      MEMREAL_CHECK(cls_[e.h] == i && label_[e.h] >= 0);
+      MEMREAL_CHECK(e.h < cls_.size() && pos_[e.h] < order_.size());
+      MEMREAL_CHECK(cls_[e.h] == i && order_label_[pos_[e.h]] >= 0);
       MEMREAL_CHECK(order_h_[pos_[e.h]] == e.h && order_[pos_[e.h]] == e.id);
     }
   }
@@ -535,7 +529,7 @@ void GeoAllocator::check_invariants() const {
     bool deep = false;
     for (const ClassEntry& e : bucket) {
       if (e.size != bucket.front().size) break;
-      if (label_[e.h] >= jstar_[i]) {
+      if (order_label_[pos_[e.h]] >= jstar_[i]) {
         deep = true;
         break;
       }

@@ -31,19 +31,23 @@
 //
 // Bookkeeping is flat, and a level rebuild does no hash probe and no
 // tree-node hop.  Every live item holds a dense GEO-local handle (recycled
-// through a free list); its label, class and order_ position live in
-// handle-indexed arrays, and order_ carries a parallel handle array.  The
-// id -> handle FlatIdMap is probed once per insert and once per erase.
-// Each class keeps a sorted vector bucket of {logical size, id, handle} in
-// (size, id) order.  A level rebuild walks the buckets reading positions
-// through handles, picks each label with a cursor over c_{i,.} that only
-// moves shallower (c is non-increasing in j and rank only grows), and
-// regroups the suffix stably by label one run of equal new labels at a
-// time: a rebuild relabels few items (~4 of a ~400-item suffix at eps
-// 1/32, in ~13 runs), and each run moves as one block (member buffers, no allocation
-// per rebuild).  Only the stretch between the outermost moved runs is
-// copied back, re-indexed and relaid, as one LayoutStore::apply_run batch
-// that permutes its own stretch of memory.
+// through a free list); its class and order_ position live in
+// handle-indexed arrays.  order_ carries two parallel arrays in layout
+// order: the items' handles and their labels (ascending, -1 for huge
+// items), so the level suffixes are binary searches over contiguous
+// labels and a swap partner inherits its label by taking over the deleted
+// item's entry.  The id -> handle FlatIdMap is probed once per insert and
+// once per erase.  Each class keeps a sorted vector bucket of {logical
+// size, id, handle} in (size, id) order.  A level rebuild walks the
+// buckets reading positions through handles, picks each label with a
+// cursor over c_{i,.} that only moves shallower (c is non-increasing in j
+// and rank only grows), and regroups the suffix stably by label one run of
+// equal new labels at a time: a rebuild relabels few items (~4 of a
+// ~400-item suffix at eps 1/32, in ~13 runs), and each run moves as one
+// block (member buffers, no allocation per rebuild) whose labels are
+// filled in at its destination.  Only the stretch between the outermost
+// moved runs is copied back, re-indexed and relaid, as one
+// LayoutStore::apply_run batch that permutes its own stretch of memory.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +111,8 @@ class GeoAllocator final : public Allocator {
   std::uint32_t bind_handle(ItemId id);
   void bucket_insert(std::size_t cls, Tick size, ItemId id, std::uint32_t h);
   void bucket_erase(std::size_t cls, Tick size, ItemId id);
-  /// Drops order_[k] and its handle (positions after k go stale).
+  /// Drops order_[k], its handle and its label (positions after k go
+  /// stale).
   void order_erase(std::size_t k);
 
   /// Lays order_[from..] out contiguously after order_[from - 1] and
@@ -143,10 +148,11 @@ class GeoAllocator final : public Allocator {
 
   std::vector<ItemId> order_;  ///< sorted: huge first, then by label asc
   std::vector<std::uint32_t> order_h_;  ///< order_'s handles, same indices
+  /// order_'s labels, same indices: -1 = huge; 0..ell = deepest level.
+  std::vector<int> order_label_;
   FlatIdMap<std::uint32_t> handle_;     ///< id -> handle of a live item
   std::vector<std::uint32_t> free_handles_;
   // Per-handle state; entries of freed handles are stale until reused.
-  std::vector<int> label_;  ///< -1 = huge; 0..ell = deepest level
   std::vector<std::size_t> cls_;  ///< size class (valid when label >= 0)
   std::vector<std::size_t> pos_;  ///< index in order_
   std::vector<std::vector<ClassEntry>> class_items_;

@@ -136,8 +136,18 @@ void SlabStore::move_to(ItemId id, Tick offset) {
   if ((pos & kQueued) != 0) {
     pending_sorted_ = false;
   } else if (!fits_at(pos, slot)) {
-    punch_hole(pos);
-    enqueue(slot);
+    if (holes_ == 1 && fits_at(first_hole_, slot)) {
+      // A swap delete: the slot lands in the one hole its partner's
+      // remove left, and its old entry becomes that hole.
+      by_offset_[first_hole_] = slot;
+      index_pos_[slot] = static_cast<std::uint32_t>(first_hole_);
+      by_offset_[pos] = kHole;
+      first_hole_ = pos;
+      last_hole_ = pos;
+    } else {
+      punch_hole(pos);
+      enqueue(slot);
+    }
   }
   moved_ += sizes_[slot];
 }
@@ -173,12 +183,14 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   // join the queue in run order — key order — without mixing with earlier
   // queued slots.
   settle();
-  run_slots_.clear();
+  // Resolving every id first keeps the probes independent of each other.
+  run_slots_.resize(ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    run_slots_[k] = slot_of(ids[k]);
+  }
   std::size_t lo = by_offset_.size();
   std::size_t hi = 0;
-  for (const ItemId id : ids) {
-    const std::uint32_t slot = slot_of(id);
-    run_slots_.push_back(slot);
+  for (const std::uint32_t slot : run_slots_) {
     lo = std::min<std::size_t>(lo, index_pos_[slot]);
     hi = std::max<std::size_t>(hi, index_pos_[slot]);
     if (offsets_[slot] != offset) {

@@ -30,24 +30,29 @@
 // One rule keeps the index cheap: a mutation whose slot stays
 // (offset, id)-ordered against its nearest settled index neighbours is
 // written in place (two array writes, two comparisons: every compaction
-// move and rightmost placement); anything else leaves a hole in by_offset_
-// and/or joins pending_, in O(1).  A partial apply_run settles the index
-// first and applies the rule once its run has landed: all moved slots
-// stay, or, when the run's slots alone fill one index window and its new
-// first and last keys fit against the entries just outside it, the window
-// is rewritten in run (= key) order — the window write, one sequential
-// pass that takes every GEO level rebuild, whose run permutes its own
-// stretch of memory; otherwise all moved slots queue in run order.  A run
-// covering every item (SIMPLE's rebuild) is written to by_offset_
-// directly.  settle() repairs the index: it sorts the queue if needed,
-// drops the holes and merges the queue back in place, rewriting only the
-// stretch of by_offset_ that changes.  It runs at end_update, at the first
-// ordered query inside an update, and before a partial run, so per-item
-// moves pay one repair per update: a TINYSLAB unit rotation costs
-// O(n + m log m), not one O(n) shift per move.  Between updates the index
-// is exact and const queries write nothing, so shared-lock readers stay
-// race-free.  The span cache is a lazily recomputed scalar: span_end() is
-// rarely read between updates.
+// move and rightmost placement).  An order-breaking move whose new key
+// fits the index's only hole fills it, and its old entry becomes the hole:
+// every swap delete (GEO, SIMPLE's main portion, DISCRETE's partner swap)
+// removes an item and moves its partner into the freed slot, so the
+// partner lands in the hole the remove left.  Anything else leaves a hole
+// in by_offset_ and/or joins pending_, in O(1).  A partial apply_run
+// settles the index first and applies the rule once its run has landed:
+// all moved slots stay, or, when the run's slots alone fill one index
+// window and its new first and last keys fit against the entries just
+// outside it, the window is rewritten in run (= key) order — the window
+// write, one sequential pass that takes every GEO level rebuild, whose run
+// permutes its own stretch of memory; otherwise all moved slots queue in
+// run order.  A run covering every item (SIMPLE's rebuild) is written to
+// by_offset_ directly.  settle() repairs the index: it sorts the queue if
+// needed, drops the holes and merges the queue back in place, rewriting
+// only the stretch of by_offset_ that changes.  It runs at end_update, at
+// the first ordered query inside an update, and before a partial run, so
+// per-item moves pay one repair per update: a TINYSLAB unit rotation costs
+// O(n + m log m), not one O(n) shift per move, and a swap delete's
+// compaction run settles its one hole with no sort and no merge.  Between
+// updates the index is exact and const queries write nothing, so
+// shared-lock readers stay race-free.  The span cache is a lazily
+// recomputed scalar: span_end() is rarely read between updates.
 //
 // The (offset, id) sort key matches Memory's index exactly, so every
 // ordered query (item_at, first_at_or_after, neighbors_of, snapshot, ...)

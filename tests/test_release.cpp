@@ -801,6 +801,97 @@ TEST(SlabStore, OrderedQueryMidUpdateSettlesThenMutationsContinue) {
   EXPECT_EQ(t.slab().item_count(), 5u);
 }
 
+TEST(SlabStore, MoveIntoTheOneHoleFillsIt) {
+  // A swap delete's shape: 3 is removed and 6 moves into its slot, so 6
+  // lands in the index hole the remove left and its old entry becomes the
+  // hole.  Queries inside the update must already see it there; the
+  // compaction run then closes the gap 6 left at the end of memory.
+  TwinStores t({0, 10, 20, 30, 40, 50, 60}, {10, 10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.remove(3);
+  t.move(6, 20);
+  t.compare_queries("after the swap");
+  t.run({7}, 50);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(6), 20u);
+  EXPECT_EQ(t.slab().offset_of(7), 50u);
+  // The mirror shape: 4 is removed and 2 moves right into its slot, past
+  // 3, so the hole the fill leaves is left of the one it fills.
+  t.begin();
+  t.remove(4);
+  t.move(2, 30);
+  t.compare_queries("after the rightward fill");
+  t.end_and_compare();
+  const auto around = t.slab().neighbors_of(2);
+  ASSERT_TRUE(around.prev.has_value() && around.next.has_value());
+  EXPECT_EQ(around.prev->id, 6u);
+  EXPECT_EQ(around.next->id, 5u);
+}
+
+TEST(SlabStore, MoveWithASecondHoleOpenQueues) {
+  // Two removes leave two holes, so 6 cannot fill either one: it queues,
+  // and the repair must still put it where 2 was.
+  TwinStores t({0, 10, 20, 30, 40, 50}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.remove(2);
+  t.remove(4);
+  t.move(6, 10);
+  t.compare_queries("after the move");
+  t.move(5, 30);
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(6), 10u);
+}
+
+TEST(SlabStore, MoveWhoseKeyDoesNotFitTheHoleQueues) {
+  // 1 leaves its place for the end of memory, far from 3's hole.
+  TwinStores t({0, 10, 20, 30, 40, 50}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.remove(3);
+  t.move(1, 60);
+  t.compare_queries("after the move");
+  t.end_and_compare();
+  ASSERT_TRUE(t.slab().last_item().has_value());
+  EXPECT_EQ(t.slab().last_item()->id, 1u);
+}
+
+TEST(SlabStore, MoveNextToTheHoleQueues) {
+  // The mover sits right next to the hole: the hole's settled neighbours
+  // are the mover's own, so a key that breaks order at its own position
+  // cannot fit the hole either.  Right of the hole, 4 moves past 6 ...
+  TwinStores t({0, 10, 20, 30, 40, 50}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.remove(3);
+  t.move(4, 60);
+  t.compare_queries("after the right neighbour moved");
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().last_item()->id, 4u);
+  // ... and left of the hole, 1 moves past everything.
+  t.begin();
+  t.remove(2);
+  t.move(1, 70);
+  t.compare_queries("after the left neighbour moved");
+  t.end_and_compare();
+  const auto around = t.slab().neighbors_of(1);
+  ASSERT_TRUE(around.prev.has_value());
+  EXPECT_EQ(around.prev->id, 4u);
+  EXPECT_FALSE(around.next.has_value());
+}
+
+TEST(SlabStore, MoveIntoTheHoleAfterAQueuedPlacement) {
+  // A mid-layout placement queues first; the swap then fills the remove's
+  // hole, so the repair sees one hole and one queued slot and keeps the
+  // index tail past both in place.
+  TwinStores t({0, 10, 20, 40, 50, 60}, {10, 10, 10, 10, 10, 10});
+  t.begin();
+  t.place(9, 30, 5);
+  t.remove(2);
+  t.move(6, 10);
+  t.compare_queries("after the swap");
+  t.end_and_compare();
+  EXPECT_EQ(t.slab().offset_of(6), 10u);
+  EXPECT_EQ(t.slab().offset_of(9), 30u);
+}
+
 TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {
   // Enough distinct ids to force several open-addressed table growths and
   // long backward-shift chains; audit() cross-checks every probe.

@@ -152,9 +152,9 @@ Options parse_args(int argc, char** argv) {
 
 /// Builds the workload from the scenario zoo: item sizes come from the
 /// allocator's registered size band over the *shard* capacity; the
-/// live-mass budget spans all shards (global capacity = shards *
-/// shard_capacity).  An inadmissible pair is a usage error naming the
-/// compatible scenarios.
+/// live-mass budget spans all shards (global capacity up to shards *
+/// shard_capacity, trimmed so least-loaded routing always fits).  An
+/// inadmissible pair is a usage error naming the compatible scenarios.
 Sequence make_workload(const Options& o) {
   const ShardedConfig& c = o.config;
   const AllocatorInfo info = allocator_info(c.allocator);
@@ -163,7 +163,23 @@ Sequence make_workload(const Options& o) {
   if (!rejected.empty()) usage_error(kTool, rejected);
   ScenarioParams p = scenario_params_for(info, c.eps, c.shard_capacity,
                                          o.updates, c.params.seed);
+  // The stream's live mass stays within its budget, capacity - eps of it.
+  // Least-loaded routing fits every insert while that is at most
+  // shards x budget - (shards - 1) x max_size: the least-loaded shard then
+  // holds at most the mean, and the mean plus one item fits one shard's
+  // budget.  Trim the stream's capacity until its budget is that small.
+  const auto stream_budget = [&](Tick cap) {
+    return cap - Eps::of(c.eps, cap).ticks;
+  };
+  const Tick live_cap = c.shards * stream_budget(c.shard_capacity) -
+                        (c.shards - 1) * p.max_size;
   p.capacity = c.shard_capacity * c.shards;
+  if (stream_budget(p.capacity) > live_cap) {
+    const Tick excess = stream_budget(p.capacity) - live_cap;
+    p.capacity -=
+        static_cast<Tick>(static_cast<double>(excess) / (1.0 - c.eps));
+    while (stream_budget(p.capacity) > live_cap) --p.capacity;
+  }
   p.tenants = o.tenants;
   p.palette = o.tenants;
   p.zipf_s = o.zipf;
